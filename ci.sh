@@ -147,5 +147,12 @@ step_budget serve-loadgen 90 cargo xtask serve-check --budget-ms 8000
 step resolve-build cargo build --release -q -p routergeo-bench
 step_budget resolve-smoke 90 cargo xtask resolve-check --budget-ms 20000
 
+# Benchmark self-test: the benchmark package in perfbench/ links the
+# workspace crates by path from a workspace of its own, so no other step
+# builds it. An API change in db or serve that breaks its build, or any
+# of its self-tests, fails here rather than in a benchmark run. The step
+# only reads perfbench/ (its build output goes to perfbench/target).
+step perfbench-selftest cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 step test cargo test -q
 step test-workspace cargo test --workspace -q

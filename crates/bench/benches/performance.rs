@@ -8,7 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use routergeo_db::synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
-use routergeo_db::{rgdb, GeoDatabase, InMemoryDb};
+use routergeo_db::{rgdb2, GeoDatabase, InMemoryDb, Rgdb2Reader};
 use routergeo_geo::{haversine_km, Coordinate};
 use routergeo_net::{Prefix, PrefixTrie};
 use routergeo_trace::Topology;
@@ -53,16 +53,14 @@ fn bench_lookup_structures(c: &mut Criterion) {
                 .map(move |p| (p, rec.clone()))
         })
         .collect();
-    let image = rgdb::write(db.name(), entries.iter().map(|(p, r)| (*p, r)));
+    let image = rgdb2::write_v21(db.name(), entries.iter().map(|(p, r)| (*p, r)));
     println!(
         "RGDB image: {} entries, {} bytes ({} deduplicated records)",
         entries.len(),
         image.len(),
-        rgdb::RgdbReader::open(image.clone())
-            .unwrap()
-            .record_count()
+        Rgdb2Reader::open(image.clone()).unwrap().record_count()
     );
-    let reader = rgdb::RgdbReader::open(image).unwrap();
+    let reader = Rgdb2Reader::open(image).unwrap();
 
     // And as a raw prefix trie.
     let mut trie = PrefixTrie::new();
@@ -108,7 +106,7 @@ fn bench_lookup_structures(c: &mut Criterion) {
     group.finish();
 
     c.bench_function("rgdb_write_full_db", |b| {
-        b.iter(|| rgdb::write(db.name(), entries.iter().map(|(p, r)| (*p, r))))
+        b.iter(|| rgdb2::write_v21(db.name(), entries.iter().map(|(p, r)| (*p, r))))
     });
 }
 

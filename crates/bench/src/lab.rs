@@ -271,20 +271,6 @@ impl Lab {
             .iter()
             .enumerate()
             .map(|(ix, db)| {
-                routergeo_db::rgdb::write(&format!("vendor-{ix}"), Lab::vendor_entries(db))
-            })
-            .collect()
-    }
-
-    /// [`Lab::vendor_images`] in the v2.1 cache-locality format (root
-    /// table + level-order nodes) — same prefixes and payloads, so a
-    /// daemon can hot-swap freely between the two encodings of a
-    /// vendor.
-    pub fn vendor_images_v21(&self) -> Vec<bytes::Bytes> {
-        self.dbs
-            .iter()
-            .enumerate()
-            .map(|(ix, db)| {
                 routergeo_db::rgdb2::write_v21(&format!("vendor-{ix}"), Lab::vendor_entries(db))
             })
             .collect()

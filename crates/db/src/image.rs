@@ -10,11 +10,10 @@
 //! Failures are attributed: every error is an [`RgdbError::Io`] naming
 //! the path, the operation (`"open"`, `"metadata"`, `"read"`), and the
 //! OS error category — or, once the bytes are loaded, whatever
-//! structural error [`AnyReader::open`] raises for them. Nothing in
+//! structural error [`Rgdb2Reader::open`] raises for them. Nothing in
 //! this module panics on untrusted input.
 
-use crate::rgdb::RgdbError;
-use crate::rgdb2::AnyReader;
+use crate::rgdb2::{Rgdb2Reader, RgdbError};
 use bytes::Bytes;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -79,10 +78,9 @@ impl FileImage {
         self.bytes
     }
 
-    /// Validate and open the loaded image, dispatching on its format
-    /// version like [`AnyReader::open`].
-    pub fn open(&self) -> Result<AnyReader, RgdbError> {
-        AnyReader::open(self.bytes.clone())
+    /// Validate and open the loaded image with [`Rgdb2Reader::open`].
+    pub fn open(&self) -> Result<Rgdb2Reader, RgdbError> {
+        Rgdb2Reader::open(self.bytes.clone())
     }
 }
 
@@ -128,8 +126,7 @@ fn read_chunk(file: &File, chunk: &mut [u8], offset: u64) -> std::io::Result<usi
 mod tests {
     use super::*;
     use crate::record::{Granularity, LocationRecord};
-    use crate::rgdb::{fnv1a, Section, HEADER_LEN};
-    use crate::rgdb2::write_v21;
+    use crate::rgdb2::{fnv1a, write_v21, Section, HEADER_LEN};
     use crate::GeoDatabase;
     use routergeo_net::Prefix;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,7 +166,6 @@ mod tests {
         assert_eq!(file.path(), path.as_path());
         assert!(!file.is_empty());
         let reader = file.open().unwrap();
-        assert_eq!(reader.version(), 3);
         assert_eq!(reader.name(), "file-db");
         assert!(reader.lookup("10.1.2.3".parse().unwrap()).is_some());
         assert!(reader.lookup("11.1.2.3".parse().unwrap()).is_none());

@@ -187,6 +187,28 @@ struct ProxyShared {
     active: AtomicUsize,
 }
 
+impl ProxyShared {
+    /// Store connection `idx`'s record in the stats.
+    fn publish(&self, idx: usize, record: ConnRecord) {
+        if let Ok(mut stats) = self.stats.lock() {
+            // Accept order can race between worker threads; index the
+            // slot explicitly.
+            if stats.conns.len() <= idx {
+                stats.conns.resize(
+                    idx + 1,
+                    ConnRecord {
+                        fault: "pending",
+                        bytes_up: 0,
+                        bytes_down: 0,
+                        injected_delay: Duration::ZERO,
+                    },
+                );
+            }
+            stats.conns[idx] = record;
+        }
+    }
+}
+
 /// Handle to a running fault-injecting proxy.
 pub struct ChaosProxy {
     addr: SocketAddr,
@@ -230,23 +252,7 @@ impl ChaosProxy {
                 shared.active.fetch_add(1, Ordering::SeqCst);
                 // xtask-allow: RG007 per-connection chaos thread, detached by design
                 std::thread::spawn(move || {
-                    let record = handle(stream, conn_idx, &shared);
-                    if let Ok(mut stats) = shared.stats.lock() {
-                        // Accept order can race between worker threads;
-                        // index the slot explicitly.
-                        if stats.conns.len() <= conn_idx {
-                            stats.conns.resize(
-                                conn_idx + 1,
-                                ConnRecord {
-                                    fault: "pending",
-                                    bytes_up: 0,
-                                    bytes_down: 0,
-                                    injected_delay: Duration::ZERO,
-                                },
-                            );
-                        }
-                        stats.conns[conn_idx] = record;
-                    }
+                    handle(stream, conn_idx, &shared);
                     shared.active.fetch_sub(1, Ordering::SeqCst);
                 });
             }
@@ -316,7 +322,8 @@ fn read_request(client: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-fn handle(mut client: TcpStream, idx: usize, shared: &ProxyShared) -> ConnRecord {
+/// Serve one connection under its planned fault and publish its record.
+fn handle(mut client: TcpStream, idx: usize, shared: &ProxyShared) {
     let fault = shared.plan.for_conn(idx);
     let mut record = ConnRecord {
         fault: fault.label(),
@@ -327,6 +334,9 @@ fn handle(mut client: TcpStream, idx: usize, shared: &ProxyShared) -> ConnRecord
     let _ = client.set_read_timeout(Some(IO_DEADLINE));
     let _ = client.set_write_timeout(Some(IO_DEADLINE));
 
+    // How a relayed response ends; the other faults end the connection
+    // themselves.
+    let mut close = None;
     match fault {
         Fault::Refuse => {
             // Closing without reading makes the kernel send RST on the
@@ -352,21 +362,30 @@ fn handle(mut client: TcpStream, idx: usize, shared: &ProxyShared) -> ConnRecord
         | Fault::TruncateAfter(_)
         | Fault::Delay { .. }
         | Fault::CorruptBytes { .. } => {
-            // xtask-allow: RG012 a broken relay is an injected fault doing its job; the record still captures what moved
-            let _ = relay(&mut client, &fault, shared, &mut record);
+            // A broken relay is an injected fault doing its job; the
+            // record still captures what moved, and dropping `client`
+            // closes the connection.
+            close = relay(&mut client, &fault, shared, &mut record).ok();
         }
     }
-    record
+    // Publish before the response's end reaches the client: a client
+    // that has read to EOF may read the stats at once.
+    shared.publish(idx, record);
+    if let Some(how) = close {
+        let _ = client.shutdown(how);
+    }
 }
 
 /// Relay request upstream and stream the response back, applying the
-/// response-path faults.
+/// response-path faults. Returns how the caller must shut the client
+/// down to end the response: fully after a truncation, else the write
+/// side.
 fn relay(
     client: &mut TcpStream,
     fault: &Fault,
     shared: &ProxyShared,
     record: &mut ConnRecord,
-) -> std::io::Result<()> {
+) -> std::io::Result<Shutdown> {
     let request = read_request(client)?;
     record.bytes_up = request.len() as u64;
 
@@ -416,13 +435,11 @@ fn relay(
             forwarded += take;
         }
         if truncate_at.is_some_and(|limit| forwarded >= limit) {
-            let _ = client.shutdown(Shutdown::Both);
-            return Ok(());
+            return Ok(Shutdown::Both);
         }
     }
     client.flush()?;
-    let _ = client.shutdown(Shutdown::Write);
-    Ok(())
+    Ok(Shutdown::Write)
 }
 
 #[cfg(test)]

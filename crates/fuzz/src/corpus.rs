@@ -17,7 +17,7 @@
 use crate::rng::FuzzRng;
 use bytes::Bytes;
 use routergeo_db::record::{Granularity, LocationRecord};
-use routergeo_db::{rgdb, rgdb2};
+use routergeo_db::rgdb2;
 use routergeo_geo::{Coordinate, CountryCode};
 use routergeo_net::Prefix;
 use std::net::Ipv4Addr;
@@ -63,39 +63,6 @@ impl Scale {
     }
 }
 
-/// Which RGDB wire format a fuzzed image is serialized in. All
-/// writers consume the same `(prefix, record)` sets, so every corpus
-/// entry exists in every format and the harness fuzzes each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ImageFormat {
-    /// The v1 pointer-chasing layout (`rgdb::write`).
-    V1,
-    /// The v2 flat zero-copy layout (`rgdb2::write`).
-    V2,
-    /// The v2.1 cache-locality layout: stride-16 root table +
-    /// level-order nodes (`rgdb2::write_v21`).
-    V21,
-}
-
-impl ImageFormat {
-    /// Every format, oldest first (reporting and spec order).
-    pub const ALL: [ImageFormat; 3] = [ImageFormat::V1, ImageFormat::V2, ImageFormat::V21];
-
-    /// Stable lower-case label (used in specs and JSON).
-    pub fn label(self) -> &'static str {
-        match self {
-            ImageFormat::V1 => "v1",
-            ImageFormat::V2 => "v2",
-            ImageFormat::V21 => "v21",
-        }
-    }
-
-    /// Inverse of [`ImageFormat::label`].
-    pub fn parse(s: &str) -> Option<ImageFormat> {
-        ImageFormat::ALL.into_iter().find(|f| f.label() == s)
-    }
-}
-
 /// One synthesized record set plus its provenance.
 #[derive(Debug, Clone)]
 pub struct CorpusEntry {
@@ -108,39 +75,13 @@ pub struct CorpusEntry {
 }
 
 impl CorpusEntry {
-    /// Serialize this entry into a valid RGDB v1 image via the
-    /// production writer.
+    /// Serialize this entry into a valid RGDB image via the production
+    /// writer.
     pub fn image(&self) -> Bytes {
-        rgdb::write(
-            &format!("fuzz-{}-{}", self.scale.label(), self.seed),
-            self.entries.iter().map(|(p, r)| (*p, r)),
-        )
-    }
-
-    /// Serialize this entry into a valid RGDB v2 (flat) image.
-    pub fn image_v2(&self) -> Bytes {
-        rgdb2::write(
-            &format!("fuzz-{}-{}", self.scale.label(), self.seed),
-            self.entries.iter().map(|(p, r)| (*p, r)),
-        )
-    }
-
-    /// Serialize this entry into a valid RGDB v2.1 image (root table +
-    /// level-order nodes).
-    pub fn image_v21(&self) -> Bytes {
         rgdb2::write_v21(
             &format!("fuzz-{}-{}", self.scale.label(), self.seed),
             self.entries.iter().map(|(p, r)| (*p, r)),
         )
-    }
-
-    /// Serialize in any format.
-    pub fn image_as(&self, format: ImageFormat) -> Bytes {
-        match format {
-            ImageFormat::V1 => self.image(),
-            ImageFormat::V2 => self.image_v2(),
-            ImageFormat::V21 => self.image_v21(),
-        }
     }
 }
 
@@ -301,14 +242,10 @@ mod tests {
     }
 
     #[test]
-    fn images_open_cleanly_in_both_formats() {
+    fn images_open_cleanly() {
         for scale in Scale::ALL {
             let e = build_entry(11, scale);
-            assert!(routergeo_db::rgdb::RgdbReader::open(e.image()).is_ok());
-            assert!(routergeo_db::rgdb2::Rgdb2Reader::open(e.image_v2()).is_ok());
-            for format in ImageFormat::ALL {
-                assert!(routergeo_db::rgdb2::AnyReader::open(e.image_as(format)).is_ok());
-            }
+            assert!(routergeo_db::Rgdb2Reader::open(e.image()).is_ok());
         }
     }
 

@@ -1,20 +1,21 @@
-//! Pillar 3: differential lookups across the six database backends.
+//! Pillar 3: differential lookups across the four database backends.
 //!
 //! For every corpus entry, the same `(prefix, record)` set is loaded
-//! six ways — the RGDB v1 binary trie, the flat RGDB v2 image, the
-//! v2.1 root-table image, the same v2.1 image re-loaded from disk
-//! through [`routergeo_db::FileImage`], a flat [`InMemoryDb`] range
-//! map, and a CSV round-trip through `csvdb::write`/`csvdb::parse` —
-//! and all six must answer [`GeoDatabase::lookup_compact`] identically
-//! over a seeded address sweep; the binary readers must additionally
-//! agree on `match_len`. One [`LocationInterner`] is shared by the
-//! backends so equal strings intern to equal ids and [`CompactRecord`]s
-//! compare directly.
+//! four ways — an RGDB image in a heap buffer, the same image re-loaded
+//! from disk through [`routergeo_db::FileImage`], a flat
+//! [`routergeo_db::InMemoryDb`] range map, and a CSV round-trip through
+//! `csvdb::write`/`csvdb::parse` — and all four must answer
+//! [`GeoDatabase::lookup_compact`] identically over a seeded address
+//! sweep. Both RGDB readers must additionally report the `match_len`
+//! of the one corpus prefix covering the address (the prefixes are
+//! disjoint, so that is the longest match). One [`LocationInterner`] is
+//! shared by the backends so equal strings intern to equal ids and
+//! [`CompactRecord`]s compare directly.
 //!
-//! The corpus is constructed to be exactly representable in all four
+//! The corpus is constructed to be exactly representable in all three
 //! formats (disjoint prefixes, micro-degree coordinates, strings at or
 //! under the 255-byte cap — `Some("")` included, which every backend
-//! now round-trips — see [`crate::corpus`]), so any disagreement is a
+//! round-trips — see [`crate::corpus`]), so any disagreement is a
 //! backend defect, not a corpus artifact.
 
 use crate::corpus::{build_entry, Scale};
@@ -23,9 +24,7 @@ use crate::rng::FuzzRng;
 use crate::FuzzConfig;
 use routergeo_db::csvdb;
 use routergeo_db::inmem::InMemoryDbBuilder;
-use routergeo_db::rgdb::RgdbReader;
-use routergeo_db::rgdb2::Rgdb2Reader;
-use routergeo_db::{CompactRecord, FileImage, GeoDatabase, LocationInterner};
+use routergeo_db::{CompactRecord, FileImage, GeoDatabase, LocationInterner, Rgdb2Reader};
 use std::net::Ipv4Addr;
 
 /// Aggregates for one scale.
@@ -62,26 +61,19 @@ fn render(r: Option<CompactRecord>) -> String {
     }
 }
 
-/// Sweep one corpus entry across the six backends. Returns the
+/// Sweep one corpus entry across the four backends. Returns the
 /// addresses probed and any disagreement lines.
 fn sweep_entry(seed: u64, scale: Scale, diff_addrs: u64, root: u64) -> (u64, Vec<String>) {
     let entry = build_entry(seed, scale);
     let mut mismatches = Vec::new();
     let spec = |what: &str| format!("seed={seed} scale={} {what}", scale.label());
 
-    let rgdb = match RgdbReader::open(entry.image()) {
+    let image = entry.image();
+    let heap = match Rgdb2Reader::open(image.clone()) {
         Ok(r) => r,
         Err(e) => return (0, vec![spec(&format!("rgdb image failed to open: {e}"))]),
     };
-    let rgdb2 = match Rgdb2Reader::open(entry.image_v2()) {
-        Ok(r) => r,
-        Err(e) => return (0, vec![spec(&format!("rgdb2 image failed to open: {e}"))]),
-    };
-    let rgdb21 = match Rgdb2Reader::open(entry.image_v21()) {
-        Ok(r) => r,
-        Err(e) => return (0, vec![spec(&format!("v2.1 image failed to open: {e}"))]),
-    };
-    // The same v2.1 image again, but round-tripped through disk via
+    // The same image again, but round-tripped through disk via
     // FileImage — the serving path's loader must hand back bytes that
     // answer identically to the in-heap buffer.
     static DISK_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -92,22 +84,22 @@ fn sweep_entry(seed: u64, scale: Scale, diff_addrs: u64, root: u64) -> (u64, Vec
         scale.label(),
         DISK_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
-    if let Err(e) = std::fs::write(&file_path, entry.image_v21()) {
+    if let Err(e) = std::fs::write(&file_path, &image) {
         return (
             0,
-            vec![spec(&format!("v2.1 image failed to hit disk: {e}"))],
+            vec![spec(&format!("rgdb image failed to hit disk: {e}"))],
         );
     }
     let file_backed = FileImage::load(&file_path)
         .map_err(|e| e.to_string())
         .and_then(|img| Rgdb2Reader::open(img.into_bytes()).map_err(|e| e.to_string()));
     std::fs::remove_file(&file_path).ok(); // xtask-allow: RG012 best-effort temp-file cleanup; the reader verdict is already captured
-    let rgdb21_file = match file_backed {
+    let file = match file_backed {
         Ok(r) => r,
         Err(e) => {
             return (
                 0,
-                vec![spec(&format!("file-backed v2.1 image failed to open: {e}"))],
+                vec![spec(&format!("file-backed rgdb image failed to open: {e}"))],
             )
         }
     };
@@ -134,34 +126,33 @@ fn sweep_entry(seed: u64, scale: Scale, diff_addrs: u64, root: u64) -> (u64, Vec
                  interner: &mut LocationInterner,
                  mismatches: &mut Vec<String>,
                  addresses: &mut u64| {
-        let a = rgdb.lookup_compact(ip, interner);
-        let a2 = rgdb2.lookup_compact(ip, interner);
-        let a21 = rgdb21.lookup_compact(ip, interner);
-        let a21f = rgdb21_file.lookup_compact(ip, interner);
+        let a = heap.lookup_compact(ip, interner);
+        let af = file.lookup_compact(ip, interner);
         let b = inmem.lookup_compact(ip, interner);
         let c = csv.lookup_compact(ip, interner);
         *addresses += 1;
-        if a != a2 || a != a21 || a21 != a21f || a != b || b != c {
+        if a != af || a != b || b != c {
             mismatches.push(spec(&format!(
-                "addr={ip}: rgdb[{}] rgdb2[{}] v21[{}] v21file[{}] mem[{}] csv[{}]",
+                "addr={ip}: rgdb[{}] rgdb-file[{}] mem[{}] csv[{}]",
                 render(a),
-                render(a2),
-                render(a21),
-                render(a21f),
+                render(af),
                 render(b),
                 render(c)
             )));
         }
-        // The binary tries must also agree on how deep the match was —
-        // the LPM semantics, not just the final answer. The v2.1 root
-        // table is a pure accelerator, so its depth must match too.
-        let d1 = rgdb.match_len(ip);
-        let d2 = rgdb2.match_len(ip);
-        let d21 = rgdb21.match_len(ip);
-        let d21f = rgdb21_file.match_len(ip);
-        if d1 != d2 || d2 != d21 || d21 != d21f {
+        // The tries must also report how deep the match was — the LPM
+        // semantics, not just the final answer — and the only corpus
+        // prefix covering `ip` fixes that depth.
+        let want = entry
+            .entries
+            .iter()
+            .find(|(prefix, _)| prefix.contains(ip))
+            .map(|(prefix, _)| prefix.len());
+        let d = heap.match_len(ip);
+        let df = file.match_len(ip);
+        if d != Ok(want) || df != Ok(want) {
             mismatches.push(spec(&format!(
-                "addr={ip}: match_len v1={d1:?} v2={d2:?} v21={d21:?} v21file={d21f:?}"
+                "addr={ip}: match_len rgdb={d:?} rgdb-file={df:?} corpus={want:?}"
             )));
         }
     };

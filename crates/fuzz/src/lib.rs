@@ -2,16 +2,15 @@
 //! testing for the two surfaces that consume untrusted bytes:
 //!
 //! 1. **RGDB images** ([`rgdb_fuzz`]) — grammar-aware mutations of
-//!    valid images in both wire formats ([`corpus`] + [`mutate`]); the
-//!    reader must reject with an attributed
-//!    [`routergeo_db::rgdb::RgdbError`], never panic, and never loop.
+//!    valid images ([`corpus`] + [`mutate`]); the reader must reject
+//!    with an attributed [`routergeo_db::rgdb2::RgdbError`], never
+//!    panic, and never loop.
 //! 2. **The whois wire protocol** ([`proto_fuzz`]) — adversarial byte
 //!    streams against both `BulkClient` and `WhoisServer`; per-address
 //!    error attribution must survive and workers must shed, not wedge.
-//! 3. **Differential lookups** ([`diff`]) — the RGDB v1 trie, the flat
-//!    v2 image, the v2.1 root-table image (heap **and** file-backed),
-//!    `CsvDb`, and `InMemoryDb` built from the same records must agree
-//!    exactly (and the binary formats on match depth).
+//! 3. **Differential lookups** ([`diff`]) — an RGDB image (heap **and**
+//!    file-backed), `CsvDb`, and `InMemoryDb` built from the same
+//!    records must agree exactly (and the RGDB readers on match depth).
 //!
 //! There is no coverage feedback and no OS-level fuzzer here — just
 //! seeded replayable trials, which is what a dependency-free CI gate
@@ -31,7 +30,7 @@ pub mod report;
 pub mod rgdb_fuzz;
 pub mod rng;
 
-pub use corpus::{build_entry, CorpusEntry, ImageFormat, Scale};
+pub use corpus::{build_entry, CorpusEntry, Scale};
 pub use mutate::MutationClass;
 pub use report::FuzzReport;
 pub use rng::FuzzRng;
@@ -60,11 +59,8 @@ impl FuzzConfig {
     /// never consulted, so `--budget-ms N` yields byte-identical
     /// reports on any machine. The constants were sized so the default
     /// CI budget (30 000 ms) finishes in well under half that on the
-    /// slowest builder we care about; the v2.1 additions (a third wire
-    /// format and three root-table mutation classes) multiplied the
-    /// per-trial units ×2.25, so `trials_per_class` was rescaled from
-    /// `budget / 250` to keep the total trial count — and the wall
-    /// clock — roughly where it was.
+    /// slowest CI machine we care about. `trials_per_class` stays at
+    /// `budget / 550` so a given budget keeps replaying the same trials.
     pub fn from_budget(budget_ms: u64) -> FuzzConfig {
         FuzzConfig {
             seed: 0x9060_17C0_FFEE,

@@ -4,18 +4,15 @@
 //!
 //! ```text
 //! seed=1 scale=tiny class=node-link-corrupt trial=7
-//! seed=1 scale=tiny class=node-link-corrupt trial=7 format=v2
 //! ```
 //!
 //! Because a trial is a pure function of those coordinates (see
 //! [`crate::rgdb_fuzz::trial_seed`]), the spec regenerates the exact
-//! mutant bytes — no binary blobs to check in. The `format` key is
-//! optional and defaults to `v1`, so every pre-v2 spec line keeps its
-//! historical meaning. `crates/fuzz/corpus/` holds `.case` files of
-//! such lines (plus `#` comments), replayed by `cargo test` so a
-//! defect fixed once stays fixed.
+//! mutant bytes — no binary blobs to check in. `crates/fuzz/corpus/`
+//! holds `.case` files of such lines (plus `#` comments), replayed by
+//! `cargo test` so a defect fixed once stays fixed.
 
-use crate::corpus::{build_entry, ImageFormat, Scale};
+use crate::corpus::{build_entry, Scale};
 use crate::mutate::{self, MutationClass};
 use crate::rgdb_fuzz::{execute_trial, trial_seed, TrialOutcome};
 use crate::rng::FuzzRng;
@@ -31,9 +28,6 @@ pub struct ReplayCase {
     pub class: MutationClass,
     /// Trial index within the class.
     pub trial: u64,
-    /// Wire format the corpus entry was serialized in (`v1` unless the
-    /// spec says otherwise).
-    pub format: ImageFormat,
 }
 
 /// Parse one spec line. Blank lines and `#` comments yield `Ok(None)`;
@@ -47,7 +41,6 @@ pub fn parse_spec(line: &str) -> Result<Option<ReplayCase>, String> {
     let mut scale = None;
     let mut class = None;
     let mut trial = None;
-    let mut format = None;
     for word in line.split_whitespace() {
         let (key, value) = word
             .split_once('=')
@@ -75,10 +68,6 @@ pub fn parse_spec(line: &str) -> Result<Option<ReplayCase>, String> {
                         .map_err(|_| format!("bad trial {value:?}"))?,
                 );
             }
-            "format" => {
-                format =
-                    Some(ImageFormat::parse(value).ok_or_else(|| format!("bad format {value:?}"))?);
-            }
             other => return Err(format!("unknown key {other:?}")),
         }
     }
@@ -88,7 +77,6 @@ pub fn parse_spec(line: &str) -> Result<Option<ReplayCase>, String> {
             scale,
             class,
             trial,
-            format: format.unwrap_or(ImageFormat::V1),
         })),
         _ => Err(format!("incomplete spec {line:?}")),
     }
@@ -97,8 +85,8 @@ pub fn parse_spec(line: &str) -> Result<Option<ReplayCase>, String> {
 /// Re-execute one case: regenerate the corpus image, re-apply the
 /// mutation, and hold the reader to the no-panic/attribution promises.
 pub fn replay(case: &ReplayCase) -> Result<(), String> {
-    let image = build_entry(case.seed, case.scale).image_as(case.format);
-    let ts = trial_seed(case.seed, case.scale, case.class, case.trial, case.format);
+    let image = build_entry(case.seed, case.scale).image();
+    let ts = trial_seed(case.seed, case.scale, case.class, case.trial);
     let mut rng = FuzzRng::new(ts);
     let mutated = mutate::apply(case.class, &image, &mut rng);
     match execute_trial(mutated, case.scale, ts ^ 0xA5A5) {
@@ -135,7 +123,6 @@ mod tests {
             scale: Scale::Small,
             class: MutationClass::SectionSplice,
             trial: 3,
-            format: ImageFormat::V1,
         };
         let line = format!(
             "seed={} scale={} class={} trial={}",
@@ -145,30 +132,24 @@ mod tests {
             case.trial
         );
         assert_eq!(parse_spec(&line), Ok(Some(case)));
-        let v2 = ReplayCase {
-            format: ImageFormat::V2,
-            ..case
-        };
-        assert_eq!(parse_spec(&format!("{line} format=v2")), Ok(Some(v2)));
         assert_eq!(parse_spec("# comment"), Ok(None));
         assert_eq!(parse_spec("   "), Ok(None));
         assert!(parse_spec("seed=1 scale=tiny").is_err());
         assert!(parse_spec("seed=x scale=tiny class=truncate trial=0").is_err());
-        assert!(parse_spec("seed=1 scale=tiny class=truncate trial=0 format=v9").is_err());
+        // The one image layout needs no format key; a stale spec that
+        // still names one is rejected rather than silently re-read.
+        assert!(parse_spec("seed=1 scale=tiny class=truncate trial=0 format=v2").is_err());
     }
 
     #[test]
-    fn replaying_a_fresh_case_passes_in_both_formats() {
-        for format in ImageFormat::ALL {
-            let case = ReplayCase {
-                seed: 1,
-                scale: Scale::Tiny,
-                class: MutationClass::HeaderFieldFlip,
-                trial: 0,
-                format,
-            };
-            assert_eq!(replay(&case), Ok(()), "{}", format.label());
-        }
+    fn replaying_a_fresh_case_passes() {
+        let case = ReplayCase {
+            seed: 1,
+            scale: Scale::Tiny,
+            class: MutationClass::HeaderFieldFlip,
+            trial: 0,
+        };
+        assert_eq!(replay(&case), Ok(()));
     }
 
     #[test]
@@ -177,7 +158,7 @@ mod tests {
                     seed=1 scale=tiny class=truncate trial=0\n\
                     \n\
                     seed=2 scale=small class=record-bit-flip trial=1\n\
-                    seed=2 scale=small class=record-bit-flip trial=1 format=v2\n";
+                    seed=2 scale=tenth class=root-table-splice trial=7\n";
         assert_eq!(replay_corpus_text(text), Ok(3));
     }
 }

@@ -2,26 +2,22 @@
 //!
 //! Every trial mutates a valid corpus image with one typed
 //! [`MutationClass`] production and feeds the result to
-//! [`AnyReader::open`] plus an address sweep. The reader is held to
+//! [`Rgdb2Reader::open`] plus an address sweep. The reader is held to
 //! three promises: it never panics, every structural rejection is
 //! attributed (a [`RgdbError::Corrupt`] carries its section and
 //! offset), and it never loops (the trie walk is depth-bounded in the
 //! reader itself, so a wedge would surface as a harness timeout).
 //!
-//! A trial is a pure function of `(corpus_seed, scale, class, trial,
-//! format)` — see [`trial_seed`] — which is what lets a violation
-//! collapse to the one-line spec format replayed by [`crate::replay`].
-//! Both wire formats are fuzzed: each corpus entry is serialized as a
-//! v1 and a v2 image, and the mutant goes through `AnyReader::open` so
-//! the version dispatch itself is under fire too.
+//! A trial is a pure function of `(corpus_seed, scale, class, trial)`
+//! — see [`trial_seed`] — which is what lets a violation collapse to
+//! the one-line spec format replayed by [`crate::replay`].
 
-use crate::corpus::{build_entry, ImageFormat, Scale};
+use crate::corpus::{build_entry, Scale};
 use crate::mutate::{self, MutationClass};
 use crate::rng::FuzzRng;
 use crate::FuzzConfig;
 use bytes::Bytes;
-use routergeo_db::rgdb::RgdbError;
-use routergeo_db::rgdb2::AnyReader;
+use routergeo_db::rgdb2::{Rgdb2Reader, RgdbError};
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -31,28 +27,22 @@ const SWEEP_ADDRS: u64 = 32;
 /// Corpus seeds fuzzed per run, each paired with every [`Scale`].
 pub const CORPUS_SEEDS: [u64; 2] = [1, 2];
 
+/// Bytes hashed after the class label in [`trial_seed`]. They name the
+/// image layout (`v21`, header version 3); keeping them fixed keeps
+/// every checked-in spec line and every `--budget-ms` plan regenerating
+/// the exact mutants it always has.
+const LAYOUT_SALT: &[u8] = b"v21";
+
 /// Derive the deterministic seed for one mutation trial. Pure in all
-/// five coordinates so `crates/fuzz/corpus/` spec lines can re-create
-/// the exact mutant bytes. The v1 format chains no extra bytes, so
-/// every pre-v2 spec line regenerates its exact historical mutant.
-pub fn trial_seed(
-    corpus_seed: u64,
-    scale: Scale,
-    class: MutationClass,
-    trial: u64,
-    format: ImageFormat,
-) -> u64 {
+/// four coordinates so `crates/fuzz/corpus/` spec lines can re-create
+/// the exact mutant bytes.
+pub fn trial_seed(corpus_seed: u64, scale: Scale, class: MutationClass, trial: u64) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let format_bytes: &[u8] = match format {
-        ImageFormat::V1 => b"",
-        ImageFormat::V2 => b"v2",
-        ImageFormat::V21 => b"v21",
-    };
     for b in scale
         .label()
         .bytes()
         .chain(class.label().bytes())
-        .chain(format_bytes.iter().copied())
+        .chain(LAYOUT_SALT.iter().copied())
     {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -97,7 +87,7 @@ fn attributed(e: &RgdbError) -> bool {
 /// reportable outcome instead of tearing down the harness.
 pub fn execute_trial(mutated: Vec<u8>, scale: Scale, sweep_seed: u64) -> TrialOutcome {
     let result = catch_unwind(AssertUnwindSafe(move || {
-        match AnyReader::open(Bytes::from(mutated)) {
+        match Rgdb2Reader::open(Bytes::from(mutated)) {
             Err(e) => {
                 if attributed(&e) {
                     TrialOutcome::Rejected
@@ -158,23 +148,15 @@ pub struct RgdbOutcome {
     pub classes: Vec<ClassOutcome>,
 }
 
-/// Run the pillar: every class against every corpus image — each
-/// `(seed, scale)` entry in both wire formats — `trials_per_class`
-/// times each.
+/// Run the pillar: every class against every corpus image — one per
+/// `(seed, scale)` entry — `trials_per_class` times each.
 pub fn run(config: &FuzzConfig) -> RgdbOutcome {
-    let corpus: Vec<(u64, Scale, ImageFormat, Bytes)> = CORPUS_SEEDS
+    let corpus: Vec<(u64, Scale, Bytes)> = CORPUS_SEEDS
         .iter()
         .flat_map(|&seed| {
-            Scale::ALL.into_iter().flat_map(move |scale| {
-                ImageFormat::ALL.into_iter().map(move |format| {
-                    (
-                        seed,
-                        scale,
-                        format,
-                        build_entry(seed, scale).image_as(format),
-                    )
-                })
-            })
+            Scale::ALL
+                .into_iter()
+                .map(move |scale| (seed, scale, build_entry(seed, scale).image()))
         })
         .collect();
 
@@ -189,22 +171,16 @@ pub fn run(config: &FuzzConfig) -> RgdbOutcome {
             panics: 0,
             violations: Vec::new(),
         };
-        for (seed, scale, format, image) in &corpus {
+        for (seed, scale, image) in &corpus {
             for trial in 0..config.trials_per_class {
-                // v1 specs keep the historical four-key shape so the
-                // checked-in regression corpus stays replayable as-is.
                 let spec = || {
-                    let suffix = match format {
-                        ImageFormat::V1 => String::new(),
-                        _ => format!(" format={}", format.label()),
-                    };
                     format!(
-                        "seed={seed} scale={} class={} trial={trial}{suffix}",
+                        "seed={seed} scale={} class={} trial={trial}",
                         scale.label(),
                         class.label()
                     )
                 };
-                let ts = trial_seed(*seed, *scale, class, trial, *format);
+                let ts = trial_seed(*seed, *scale, class, trial);
                 let mut rng = FuzzRng::new(ts);
                 let mutated = mutate::apply(class, image, &mut rng);
                 out.trials += 1;
@@ -256,16 +232,27 @@ mod tests {
 
     #[test]
     fn trial_seeds_separate_coordinates() {
-        let a = trial_seed(1, Scale::Tiny, MutationClass::Truncate, 0, ImageFormat::V1);
-        let b = trial_seed(1, Scale::Tiny, MutationClass::Truncate, 1, ImageFormat::V1);
-        let c = trial_seed(1, Scale::Small, MutationClass::Truncate, 0, ImageFormat::V1);
-        let d = trial_seed(2, Scale::Tiny, MutationClass::Truncate, 0, ImageFormat::V1);
-        let e = trial_seed(1, Scale::Tiny, MutationClass::Truncate, 0, ImageFormat::V2);
+        let a = trial_seed(1, Scale::Tiny, MutationClass::Truncate, 0);
+        let b = trial_seed(1, Scale::Tiny, MutationClass::Truncate, 1);
+        let c = trial_seed(1, Scale::Small, MutationClass::Truncate, 0);
+        let d = trial_seed(2, Scale::Tiny, MutationClass::Truncate, 0);
+        let e = trial_seed(1, Scale::Tiny, MutationClass::HeaderFieldFlip, 0);
         assert!(a != b && a != c && a != d && a != e);
     }
 
     #[test]
-    fn both_formats_are_fuzzed() {
+    fn trial_seed_is_pinned_for_a_root_table_coordinate() {
+        // The value this coordinate has always hashed to: if it moves,
+        // every pin in `crates/fuzz/corpus/` silently replays a
+        // different mutant.
+        assert_eq!(
+            trial_seed(2, Scale::Tenth, MutationClass::RootTableSplice, 7),
+            0xDA82_B7D4_5307_1DCC
+        );
+    }
+
+    #[test]
+    fn every_corpus_entry_is_fuzzed() {
         let config = FuzzConfig {
             seed: 1,
             trials_per_class: 1,
@@ -273,10 +260,10 @@ mod tests {
             diff_addrs: 8,
         };
         let outcome = run(&config);
-        // seeds × scales × formats.
+        // seeds × scales.
         assert_eq!(
             outcome.entries,
-            (CORPUS_SEEDS.len() * Scale::ALL.len() * ImageFormat::ALL.len()) as u64
+            (CORPUS_SEEDS.len() * Scale::ALL.len()) as u64
         );
     }
 }

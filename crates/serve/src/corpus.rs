@@ -19,7 +19,7 @@
 //! exact.
 
 use bytes::Bytes;
-use routergeo_db::{rgdb, rgdb2};
+use routergeo_db::rgdb2;
 use routergeo_db::{Granularity, LocationRecord};
 use routergeo_geo::{Coordinate, CountryCode};
 use routergeo_net::Prefix;
@@ -117,31 +117,7 @@ impl Corpus {
         }
     }
 
-    /// Serialize generation `g` as an RGDB v1 image.
-    pub fn image(&self, generation: u32) -> Bytes {
-        let entries: Vec<(Prefix, LocationRecord)> = (0..self.records)
-            .map(|k| (self.prefix(k), self.record(generation, k)))
-            .collect();
-        rgdb::write(
-            &format!("serve-corpus-g{generation}"),
-            entries.iter().map(|(p, r)| (*p, r)),
-        )
-    }
-
-    /// Serialize generation `g` in the flat v2 format — same prefixes and
-    /// payloads, so a v2 image can hot-swap over a v1 one mid-sequence.
-    pub fn image_v2(&self, generation: u32) -> Bytes {
-        let entries: Vec<(Prefix, LocationRecord)> = (0..self.records)
-            .map(|k| (self.prefix(k), self.record(generation, k)))
-            .collect();
-        rgdb2::write(
-            &format!("serve-corpus-g{generation}"),
-            entries.iter().map(|(p, r)| (*p, r)),
-        )
-    }
-
-    /// Serialize generation `g` in the v2.1 cache-locality format (root
-    /// table + level-order nodes) — same prefixes and payloads again.
+    /// Serialize generation `g` as an RGDB image.
     pub fn image_v21(&self, generation: u32) -> Bytes {
         let entries: Vec<(Prefix, LocationRecord)> = (0..self.records)
             .map(|k| (self.prefix(k), self.record(generation, k)))
@@ -156,13 +132,13 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use routergeo_db::rgdb::RgdbReader;
+    use routergeo_db::Rgdb2Reader;
 
     #[test]
     fn generations_share_prefixes_but_differ_in_payload() {
         let corpus = Corpus::new(64);
-        let g1 = RgdbReader::open(corpus.image(1)).expect("gen 1 image validates");
-        let g2 = RgdbReader::open(corpus.image(2)).expect("gen 2 image validates");
+        let g1 = Rgdb2Reader::open(corpus.image_v21(1)).expect("gen 1 image validates");
+        let g2 = Rgdb2Reader::open(corpus.image_v21(2)).expect("gen 2 image validates");
         for k in 0..corpus.records() {
             let addr = corpus.hit_addr(k);
             let r1 = g1.try_lookup(addr).expect("clean image").expect("hit");
@@ -180,7 +156,7 @@ mod tests {
     #[test]
     fn block_addr_outcomes_are_pure_functions() {
         let corpus = Corpus::new(32);
-        let reader = RgdbReader::open(corpus.image(1)).expect("image validates");
+        let reader = Rgdb2Reader::open(corpus.image_v21(1)).expect("image validates");
         for k in 0..corpus.records() {
             for salt in [0u64, 7, 65_535, 1 << 40] {
                 let addr = corpus.block_addr(k, salt);
@@ -195,22 +171,23 @@ mod tests {
     #[test]
     fn images_are_byte_identical_across_builds() {
         let corpus = Corpus::new(48);
-        assert_eq!(corpus.image(1), corpus.image(1));
-        assert_ne!(corpus.image(1), corpus.image(2));
-        assert_eq!(corpus.image_v2(1), corpus.image_v2(1));
+        assert_eq!(corpus.image_v21(1), corpus.image_v21(1));
+        assert_ne!(corpus.image_v21(1), corpus.image_v21(2));
     }
 
     #[test]
-    fn v1_and_v2_images_of_a_generation_agree() {
+    fn images_answer_like_the_records_they_were_written_from() {
+        // A block address hits exactly when it falls in record k's
+        // carved prefix, and then answers record k as generation 2
+        // publishes it.
         let corpus = Corpus::new(48);
-        let v1 = RgdbReader::open(corpus.image(2)).expect("v1 validates");
-        let v2 = routergeo_db::rgdb2::Rgdb2Reader::open(corpus.image_v2(2)).expect("v2 validates");
+        let reader = Rgdb2Reader::open(corpus.image_v21(2)).expect("image validates");
         for k in 0..corpus.records() {
             for salt in [0u64, 9, 65_535] {
                 let addr = corpus.block_addr(k, salt);
-                let a = v1.try_lookup(addr).expect("clean image");
-                let b = v2.try_lookup(addr).expect("clean image");
-                assert_eq!(a, b, "formats disagree at {addr}");
+                let want = corpus.prefix(k).contains(addr).then(|| corpus.record(2, k));
+                let got = reader.try_lookup(addr).expect("clean image");
+                assert_eq!(got, want, "image disagrees with its records at {addr}");
             }
         }
     }

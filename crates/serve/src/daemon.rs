@@ -19,8 +19,7 @@
 
 use crate::protocol::{self, ProtoError, Request, Response};
 use bytes::Bytes;
-use routergeo_db::rgdb::RgdbError;
-use routergeo_db::rgdb2::AnyReader;
+use routergeo_db::rgdb2::{Rgdb2Reader, RgdbError};
 use routergeo_db::FileImage;
 use std::fmt;
 use std::io::{Read, Write as _};
@@ -66,7 +65,7 @@ impl Default for ServeConfig {
 /// monotonically increasing id responses carry.
 pub struct Generation {
     id: u32,
-    reader: AnyReader,
+    reader: Rgdb2Reader,
 }
 
 impl Generation {
@@ -75,8 +74,8 @@ impl Generation {
         self.id
     }
 
-    /// The underlying validated reader (either format version).
-    pub fn reader(&self) -> &AnyReader {
+    /// The underlying validated reader.
+    pub fn reader(&self) -> &Rgdb2Reader {
         &self.reader
     }
 }
@@ -223,7 +222,7 @@ impl ServeDaemon {
     /// Validate `image`, bind `127.0.0.1:0`, and start the accept loop
     /// plus `config.workers` connection workers.
     pub fn spawn_with(image: Bytes, config: ServeConfig) -> Result<ServeDaemon, ServeError> {
-        let reader = AnyReader::open(image)?;
+        let reader = Rgdb2Reader::open(image)?;
         let generation = Arc::new(Generation { id: 1, reader });
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
@@ -301,7 +300,7 @@ impl ServeDaemon {
     /// bounded polling until no in-flight request still pins the old
     /// generation.
     pub fn hot_swap(&self, image: Bytes) -> Result<SwapReport, ServeError> {
-        let reader = AnyReader::open(image)?;
+        let reader = Rgdb2Reader::open(image)?;
         let id = self.shared.next_gen.fetch_add(1, Ordering::SeqCst);
         let fresh = Arc::new(Generation { id, reader });
         let mut guard = match self.shared.current.write() {

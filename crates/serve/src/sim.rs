@@ -5,7 +5,7 @@
 //!
 //! * **The work is real.** Every stream element's body bytes go through
 //!   the production frame parser, the lookup runs against a real
-//!   validated [`AnyReader`], and the response is encoded with the
+//!   validated [`Rgdb2Reader`], and the response is encoded with the
 //!   production encoder. A parser or trie regression changes the
 //!   report.
 //! * **The time is virtual.** Service cost is an integer-nanosecond
@@ -24,7 +24,7 @@
 
 use crate::mix::TrafficMix;
 use crate::protocol::{self, Request, Response};
-use routergeo_db::rgdb2::AnyReader;
+use routergeo_db::rgdb2::Rgdb2Reader;
 use routergeo_pool::Pool;
 
 /// Base cost of answering any well-formed lookup.
@@ -95,7 +95,7 @@ struct ChainOutcome {
 }
 
 /// Service cost of one request, derived from the real outcome.
-fn service_cost_ns(body: &[u8], reader: &AnyReader) -> (u64, ChainDelta) {
+fn service_cost_ns(body: &[u8], reader: &Rgdb2Reader) -> (u64, ChainDelta) {
     match protocol::parse_request(body) {
         Err(_) => (COST_MALFORMED_NS, ChainDelta::Malformed),
         Ok(Request::Generation) => (COST_GEN_NS, ChainDelta::GenInfo),
@@ -139,7 +139,7 @@ fn run_chain(
     worker: u64,
     mix: &TrafficMix,
     config: &SimConfig,
-    reader: &AnyReader,
+    reader: &Rgdb2Reader,
 ) -> ChainOutcome {
     let mut out = ChainOutcome::default();
     let mut i = worker;
@@ -191,7 +191,7 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 pub fn run_sim(
     mix: &TrafficMix,
     config: &SimConfig,
-    reader: &AnyReader,
+    reader: &Rgdb2Reader,
     pool: &Pool,
 ) -> SimOutcome {
     let workers = usize::try_from(config.virtual_workers.max(1)).expect("worker count is small");
@@ -243,13 +243,12 @@ mod tests {
     use super::*;
     use crate::corpus::Corpus;
     use crate::mix::MixWeights;
-    use routergeo_db::rgdb2::AnyReader;
 
-    fn fixture() -> (TrafficMix, AnyReader) {
+    fn fixture() -> (TrafficMix, Rgdb2Reader) {
         let corpus = Corpus::new(96);
-        let image = corpus.image(1);
+        let image = corpus.image_v21(1);
         let mix = TrafficMix::new(7, corpus, MixWeights::default(), 600);
-        (mix, AnyReader::open(image).expect("image validates"))
+        (mix, Rgdb2Reader::open(image).expect("image validates"))
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! while concurrent clients hammer it, with no torn reads and the old
 //! generation fully drained before `hot_swap` returns.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use routergeo_serve::corpus::Corpus;
@@ -41,7 +42,7 @@ fn responses_are_internally_consistent_during_the_flip() {
     // always agree, before, during, and after the flip.
     let corpus = Corpus::new(64);
     let daemon = ServeDaemon::spawn_with(
-        corpus.image(1),
+        corpus.image_v21(1),
         ServeConfig {
             workers: 4,
             queue_depth: 32,
@@ -53,13 +54,20 @@ fn responses_are_internally_consistent_during_the_flip() {
     let target = corpus.hit_addr(3);
 
     let barrier = Barrier::new(2);
+    // Set once `hot_swap` has returned. The prober keeps going until it
+    // has made 50 lookups after that, so it reaches the new generation
+    // however long the next image takes to open and validate.
+    let swapped = AtomicBool::new(false);
     std::thread::scope(|scope| {
         // xtask-allow: RG007 one protocol client racing the swap; an I/O thread, not data-parallel fan-out
         let prober = scope.spawn(|| {
             let mut client = ServeClient::connect(addr).expect("client connects");
             let mut seen = [0u64; 2];
+            let mut lookups = 0u64;
+            let mut after_swap = 0u64;
             barrier.wait();
-            for _ in 0..400 {
+            while lookups < 400 || after_swap < 50 {
+                let swap_returned = swapped.load(Ordering::Acquire);
                 match client.request(&Request::Lookup(target)) {
                     Ok(Response::Hit { generation, record }) => {
                         assert!(
@@ -75,11 +83,15 @@ fn responses_are_internally_consistent_during_the_flip() {
                     }
                     other => panic!("hot address must always hit, got {other:?}"),
                 }
+                lookups += 1;
+                after_swap += u64::from(swap_returned);
             }
             seen
         });
         barrier.wait();
-        let report = daemon.hot_swap(corpus.image(2)).expect("swap succeeds");
+        let report = daemon.hot_swap(corpus.image_v21(2));
+        swapped.store(true, Ordering::Release);
+        let report = report.expect("swap succeeds");
         assert_eq!(report.old_generation, 1);
         assert_eq!(report.new_generation, 2);
         assert!(report.drained, "drain must complete: {report:?}");
@@ -98,13 +110,13 @@ fn responses_are_internally_consistent_during_the_flip() {
 }
 
 #[test]
-fn v2_images_hot_swap_over_v1_generations_and_back() {
-    // The generation slot is format-agnostic: a daemon booted on a v1
-    // image must accept a v2 image mid-flight (and vice versa), with
-    // identical hit/miss behavior and generation-tagged payloads.
+fn generations_hot_swap_forward_in_sequence() {
+    // Every swap installs a fresh generation over the live one: the
+    // daemon serves generation 1, then 2, then 3, with identical
+    // hit/miss behavior and generation-tagged payloads at each step.
     let corpus = Corpus::new(64);
-    let daemon = ServeDaemon::spawn_with(corpus.image(1), ServeConfig::default())
-        .expect("daemon spawns on a v1 image");
+    let daemon = ServeDaemon::spawn_with(corpus.image_v21(1), ServeConfig::default())
+        .expect("daemon spawns");
     let mut client = ServeClient::connect(daemon.addr()).expect("client connects");
 
     let probe = |client: &mut ServeClient, expect_gen: u32| {
@@ -124,15 +136,13 @@ fn v2_images_hot_swap_over_v1_generations_and_back() {
     };
     probe(&mut client, 1);
 
-    // v1 -> v2: the daemon opens the flat image and serves from it.
-    let report = daemon.hot_swap(corpus.image_v2(2)).expect("v2 swap");
+    let report = daemon.hot_swap(corpus.image_v21(2)).expect("second swap");
     assert_eq!(report.old_generation, 1);
     assert_eq!(report.new_generation, 2);
     assert!(report.drained);
     probe(&mut client, 2);
 
-    // v2 -> v1: swapping back off the flat format works the same way.
-    let report = daemon.hot_swap(corpus.image(3)).expect("v1 swap");
+    let report = daemon.hot_swap(corpus.image_v21(3)).expect("third swap");
     assert_eq!(report.new_generation, 3);
     probe(&mut client, 3);
 
@@ -144,11 +154,11 @@ fn v2_images_hot_swap_over_v1_generations_and_back() {
 
 #[test]
 fn heap_generation_hot_swaps_to_a_file_backed_v21_image() {
-    // Generations are source-agnostic too: a daemon booted from a heap
-    // image must accept a v2.1 image loaded from disk via FileImage,
+    // Generations are source-agnostic: a daemon booted from a heap
+    // image must accept an image loaded from disk via FileImage,
     // and a bad path must leave the live generation untouched.
     let corpus = Corpus::new(64);
-    let daemon = ServeDaemon::spawn(corpus.image(1)).expect("daemon spawns on a heap v1 image");
+    let daemon = ServeDaemon::spawn(corpus.image_v21(1)).expect("daemon spawns on a heap image");
     let mut client = ServeClient::connect(daemon.addr()).expect("client connects");
 
     let probe = |client: &mut ServeClient, expect_gen: u32| {
@@ -173,7 +183,7 @@ fn heap_generation_hot_swaps_to_a_file_backed_v21_image() {
         std::process::id()
     ));
     std::fs::write(&path, corpus.image_v21(2)).expect("image written to disk");
-    let report = daemon.hot_swap_file(&path).expect("file-backed v2.1 swap");
+    let report = daemon.hot_swap_file(&path).expect("file-backed swap");
     assert_eq!(report.old_generation, 1);
     assert_eq!(report.new_generation, 2);
     assert!(report.drained);

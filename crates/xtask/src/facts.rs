@@ -104,7 +104,8 @@ const GUARD_METHODS: [&str; 3] = ["lock", "read", "write"];
 
 /// How many lines above an `unsafe` site a `SAFETY:` comment may end:
 /// directly above (1) or trailing on the same line (0). Anything
-/// further away belongs to some other site.
+/// further away belongs to some other site. A comment ends where its
+/// block does (see [`comment_block_end`]).
 const SAFETY_COMMENT_REACH: u32 = 1;
 
 /// Extract all facts for a lexed file.
@@ -353,6 +354,22 @@ fn binding_name(toks: &[Tok], mut j: usize) -> Option<(&str, usize)> {
     Some((&head.text, j + 1))
 }
 
+/// Last line of the comment block that starts with comment `i`: comments
+/// on the immediately following lines, with no code on those lines,
+/// continue it, so a `// SAFETY:` justification may run over several
+/// `//` lines.
+fn comment_block_end(lexed: &Lexed, i: usize) -> u32 {
+    let mut comments = lexed.comments.iter().skip(i);
+    let mut end = comments.next().map_or(0, |c| c.end_line);
+    for c in comments {
+        if c.line != end + 1 || lexed.tokens.iter().any(|t| t.line == c.line) {
+            break;
+        }
+        end = c.end_line;
+    }
+    end
+}
+
 /// Inventory every `unsafe` site (blocks and `unsafe`-qualified items)
 /// with its `SAFETY:` comment status.
 pub fn unsafe_sites(lexed: &Lexed, tree: &ScopeTree) -> Vec<UnsafeSite> {
@@ -368,9 +385,9 @@ pub fn unsafe_sites(lexed: &Lexed, tree: &ScopeTree) -> Vec<UnsafeSite> {
             ScopeKind::Trait => "unsafe trait",
             _ => continue,
         };
-        let has_safety_comment = lexed.comments.iter().any(|c| {
+        let has_safety_comment = lexed.comments.iter().enumerate().any(|(i, c)| {
             c.text.contains("SAFETY:")
-                && c.end_line >= s.line.saturating_sub(SAFETY_COMMENT_REACH)
+                && comment_block_end(lexed, i) >= s.line.saturating_sub(SAFETY_COMMENT_REACH)
                 && c.line <= s.line
         });
         out.push(UnsafeSite {
@@ -543,6 +560,23 @@ mod tests {
         assert!(
             !sites[1].has_safety_comment,
             "comment is 2 lines away but belongs to the first"
+        );
+    }
+
+    #[test]
+    fn multi_line_safety_comments_reach_their_site() {
+        let src = "fn f(v: &[u8]) {\n    // SAFETY: bounds checked by caller,\n    // and the slice outlives the read.\n    let x = unsafe { v.get_unchecked(0) };\n    // SAFETY: a justification cut off by code.\n    let y = 1; // trailing note\n    let z = unsafe { v.get_unchecked(1) };\n}\n";
+        let lexed = lex(src);
+        let tree = scope::build(&lexed);
+        let sites = unsafe_sites(&lexed, &tree);
+        assert_eq!(sites.len(), 2);
+        assert!(
+            sites[0].has_safety_comment,
+            "a two-line SAFETY comment ends directly above the block"
+        );
+        assert!(
+            !sites[1].has_safety_comment,
+            "a trailing comment on a code line does not continue the block"
         );
     }
 

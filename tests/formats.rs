@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use routergeo::db::synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
-use routergeo::db::{csvdb, rgdb, GeoDatabase, InMemoryDb};
+use routergeo::db::{csvdb, rgdb2, GeoDatabase, InMemoryDb, Rgdb2Reader};
 use routergeo::net::Prefix;
 use routergeo::trace::TracerouteRecord;
 use routergeo::world::{World, WorldConfig};
@@ -17,7 +17,7 @@ fn vendor_db(seed: u64, vendor: VendorId) -> (World, InMemoryDb) {
     (world, db)
 }
 
-fn to_rgdb(db: &InMemoryDb) -> rgdb::RgdbReader {
+fn to_rgdb(db: &InMemoryDb) -> Rgdb2Reader {
     let entries: Vec<(Prefix, routergeo::db::LocationRecord)> = db
         .iter()
         .flat_map(|(start, end, rec)| {
@@ -26,8 +26,8 @@ fn to_rgdb(db: &InMemoryDb) -> rgdb::RgdbReader {
                 .map(move |p| (p, rec.clone()))
         })
         .collect();
-    let image = rgdb::write(db.name(), entries.iter().map(|(p, r)| (*p, r)));
-    rgdb::RgdbReader::open(image).expect("fresh image is valid")
+    let image = rgdb2::write_v21(db.name(), entries.iter().map(|(p, r)| (*p, r)));
+    Rgdb2Reader::open(image).expect("fresh image is valid")
 }
 
 #[test]
@@ -62,14 +62,14 @@ fn rgdb_rejects_any_single_byte_corruption_of_the_header() {
                 .map(move |p| (p, r.clone()))
         })
         .collect();
-    let image = rgdb::write(db.name(), entries.iter().map(|(p, r)| (*p, r)));
+    let image = rgdb2::write_v21(db.name(), entries.iter().map(|(p, r)| (*p, r)));
     // Flip each header byte: either the reader errors out, or (for a very
     // few degenerate flips, e.g. name-length changes that still checksum)
     // it must at least not panic.
     for i in 0..28 {
         let mut bytes = image.to_vec();
         bytes[i] ^= 0xA5;
-        match rgdb::RgdbReader::open(bytes.into()) {
+        match Rgdb2Reader::open(bytes.into()) {
             Err(_) => {}
             Ok(reader) => {
                 let _ = reader.lookup(Ipv4Addr::new(6, 0, 0, 1));
@@ -83,7 +83,7 @@ proptest! {
 
     #[test]
     fn rgdb_reader_never_panics_on_random_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = rgdb::RgdbReader::open(bytes::Bytes::from(bytes));
+        let _ = Rgdb2Reader::open(bytes::Bytes::from(bytes));
     }
 
     #[test]
