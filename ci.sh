@@ -100,6 +100,11 @@ step build-release cargo build --release
 step determinism-build cargo test -q --test parallel_determinism --no-run
 step_budget determinism-gate 120 cargo test -q --test parallel_determinism
 
+# Trace reference gate: the simulators' ignored tests rebuild Atlas's
+# nearest-instance paths with one shortest-path tree per instance and
+# compare every record at tenth scale, the scale the benchmark pins.
+step trace-reference cargo test --release -q -p routergeo-trace -- --ignored
+
 # Perf gate: fresh repro --timings vs the committed BENCH_pipeline.json
 # baseline; fails on a >2x per-stage wall-clock regression after
 # median-normalising away machine speed. Refresh with

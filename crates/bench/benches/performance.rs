@@ -150,7 +150,7 @@ fn bench_topology(c: &mut Criterion) {
     let topo = Topology::build(w);
     let src = w.pops[0].id;
     c.bench_function("dijkstra_single_source", |b| {
-        b.iter(|| topo.shortest_paths(black_box(src)))
+        b.iter(|| topo.shortest_paths(black_box(&[src])))
     });
 }
 

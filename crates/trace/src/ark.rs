@@ -15,8 +15,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use routergeo_pool::{plan_shards, Pool, Shard};
-use routergeo_world::{OperatorKind, PopId, World};
-use std::collections::HashSet;
+use routergeo_world::{InterfaceId, OperatorKind, PopId, World};
 use std::net::Ipv4Addr;
 
 /// Traceroutes per shard. Fixed (never derived from the thread count) so
@@ -116,12 +115,13 @@ impl<'w> ArkCampaign<'w> {
             }
         }
 
+        let _span = routergeo_obs::span!("ark.trees", dijkstra_runs = pops.len());
         let monitors = pops
             .into_iter()
             .enumerate()
             .map(|(i, pop)| Monitor {
                 pop,
-                tree: topo.shortest_paths(pop),
+                tree: topo.shortest_paths(&[pop]),
                 // Monitor host addresses live outside the router plan.
                 src_ip: Ipv4Addr::new(203, (i >> 8) as u8, (i & 0xFF) as u8, 10),
             })
@@ -202,8 +202,8 @@ impl<'w> ArkCampaign<'w> {
     }
 
     /// [`extract_dataset`](ArkCampaign::extract_dataset) on an explicit
-    /// pool. Shards run concurrently; each yields its own sorted
-    /// interface set and the union is re-sorted, so the result is
+    /// pool. Shards run concurrently, each returning the interface ids it
+    /// saw; one mark per world interface merges them, so the result is
     /// byte-identical at every thread count.
     pub fn extract_dataset_with(&self, pool: &Pool) -> ArkDataset {
         let world = self.engine.world();
@@ -214,26 +214,32 @@ impl<'w> ArkCampaign<'w> {
             monitors = self.monitors.len()
         );
         routergeo_obs::counter("ark.traceroutes").add(total as u64);
-        let per_shard: Vec<Vec<Ipv4Addr>> =
+        let per_shard: Vec<Vec<InterfaceId>> =
             pool.run_shards(self.config.seed ^ 0xDE57, total, ARK_SHARD_SIZE, |shard| {
-                let mut seen: HashSet<Ipv4Addr> = HashSet::new();
+                let mut seen = Vec::new();
                 self.run_shard(shard, |rec| {
-                    for ip in rec.responding_intermediate_ips() {
-                        // Keep only addresses that are actually router
-                        // interfaces; destination hosts that happened to
-                        // reply are endpoints.
-                        if world.find_interface(ip).is_some() {
-                            seen.insert(ip);
-                        }
-                    }
+                    // Keep only addresses that are actually router
+                    // interfaces; destination hosts that happened to reply
+                    // are endpoints.
+                    seen.extend(
+                        rec.responding_intermediate_ips()
+                            .filter_map(|ip| world.find_interface(ip)),
+                    );
                 });
-                let mut found: Vec<Ipv4Addr> = seen.into_iter().collect();
-                found.sort();
-                found
+                seen
             });
-        let mut interfaces: Vec<Ipv4Addr> = per_shard.into_iter().flatten().collect();
-        interfaces.sort();
-        interfaces.dedup();
+        let mut marked = vec![false; world.interfaces.len()];
+        for id in per_shard.into_iter().flatten() {
+            marked[id.index()] = true;
+        }
+        // Interface addresses are unique, so the marks need no dedup.
+        let mut interfaces: Vec<Ipv4Addr> = world
+            .interfaces
+            .iter()
+            .zip(marked)
+            .filter_map(|(interface, seen)| seen.then_some(interface.ip))
+            .collect();
+        interfaces.sort_unstable();
         routergeo_obs::counter("ark.interfaces").add(interfaces.len() as u64);
         span.attr("interfaces", interfaces.len());
         ArkDataset {
@@ -247,6 +253,7 @@ impl<'w> ArkCampaign<'w> {
 mod tests {
     use super::*;
     use routergeo_world::{World, WorldConfig};
+    use std::collections::{BTreeSet, HashSet};
 
     fn campaign(world: &World) -> (Topology, ArkConfig) {
         let topo = Topology::build(world);
@@ -280,6 +287,26 @@ mod tests {
             assert_eq!(serial.traceroutes_run, parallel.traceroutes_run);
         }
         assert!(!serial.is_empty());
+    }
+
+    #[test]
+    fn extraction_matches_serial_reference() {
+        // Independent of the shard merge: every interface address the
+        // serial run's traceroutes reported, in one ordered set.
+        let w = World::generate(WorldConfig::tiny(48));
+        let (topo, cfg) = campaign(&w);
+        let c = ArkCampaign::new(&w, &topo, cfg);
+        let mut want = BTreeSet::new();
+        c.run(|rec| {
+            let ips = rec.responding_intermediate_ips();
+            want.extend(ips.filter(|ip| w.find_interface(*ip).is_some()));
+        });
+        let want: Vec<Ipv4Addr> = want.into_iter().collect();
+        assert!(!want.is_empty());
+        for threads in [1, 2, 8] {
+            let got = c.extract_dataset_with(&Pool::new(threads));
+            assert_eq!(got.interfaces, want, "threads={threads}");
+        }
     }
 
     #[test]

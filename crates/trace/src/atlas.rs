@@ -7,10 +7,14 @@
 //! resulting records — origin probe, target, intermediate hops, RTTs — are
 //! what `routergeo-rtt` mines for 0.5 ms-proximity ground truth.
 //!
-//! Anycast routing trick: rather than running Dijkstra per probe
-//! (thousands of sources), trees are computed per *instance* (dozens) and
-//! paths reversed — the graph is undirected, so the shortest path is the
-//! same in both directions.
+//! Anycast routing: a probe's traceroute to a service goes to the
+//! instance nearest by path distance. Rather than running Dijkstra per
+//! probe (thousands of sources), each service gets one multi-source tree
+//! seeded at all of its instances at distance 0. Every PoP then hangs off
+//! the instance with the shortest path to it, and because the graph is
+//! undirected, walking from the probe's PoP back to the tree root is the
+//! probe→instance path. On an exact distance tie the instance placed
+//! first wins.
 
 use crate::engine::TraceEngine;
 use crate::graph::{PathTree, Topology};
@@ -45,42 +49,20 @@ impl Default for AtlasConfig {
 /// Prepared built-in measurement campaign.
 pub struct AtlasBuiltins<'w> {
     engine: TraceEngine<'w>,
-    /// Per target: service address plus its instances (PoP + tree).
-    targets: Vec<ServiceTarget>,
-}
-
-struct ServiceTarget {
-    addr: Ipv4Addr,
-    instances: Vec<(PopId, PathTree)>,
+    /// Per service: its address and the shortest-path tree rooted at all
+    /// of its instances.
+    targets: Vec<(Ipv4Addr, PathTree)>,
 }
 
 impl<'w> AtlasBuiltins<'w> {
-    /// Place anycast instances and precompute their path trees.
+    /// Place anycast instances and build one path tree per service.
     pub fn new(world: &'w World, topo: &Topology, config: AtlasConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0075);
-        let global_pops: Vec<PopId> = world
-            .pops
-            .iter()
-            .filter(|p| world.operator(p.op).kind == OperatorKind::GlobalTransit)
-            .map(|p| p.id)
+        let services = place_services(world, &config);
+        let _span = routergeo_obs::span!("atlas.trees", dijkstra_runs = services.len());
+        let targets = services
+            .into_iter()
+            .map(|(addr, instances)| (addr, topo.shortest_paths(&instances)))
             .collect();
-        let mut targets = Vec::with_capacity(config.targets);
-        for t in 0..config.targets {
-            let mut pool = global_pops.clone();
-            pool.shuffle(&mut rng);
-            let n = config.instances_per_target.min(pool.len()).max(1);
-            let instances = pool
-                .into_iter()
-                .take(n)
-                .map(|pop| (pop, topo.shortest_paths(pop)))
-                .collect();
-            targets.push(ServiceTarget {
-                // Service addresses live outside the router plan
-                // (100.64.0.0/10 is never allocated to operators).
-                addr: Ipv4Addr::new(100, 64 + (t as u8 % 64), 0, 53),
-                instances,
-            });
-        }
         AtlasBuiltins {
             engine: TraceEngine::new(world, config.seed),
             targets,
@@ -97,6 +79,7 @@ impl<'w> AtlasBuiltins<'w> {
     /// (probe, target) order.
     pub fn run(&self) -> Vec<TracerouteRecord> {
         let world = self.engine.world();
+        let _span = routergeo_obs::span!("atlas.run", probes = world.probes.len());
         let mut out = Vec::with_capacity(world.probes.len() * self.targets.len());
         for probe in &world.probes {
             // Probe host address: outside the router plan.
@@ -106,45 +89,48 @@ impl<'w> AtlasBuiltins<'w> {
                 (probe.id.0 >> 8) as u8,
                 probe.id.0 as u8,
             );
-            for target in &self.targets {
-                // Nearest instance by path distance.
-                let Some((_, tree)) = target
-                    .instances
-                    .iter()
-                    .filter_map(|(_pop, tree)| tree.distance_km(probe.host_pop).map(|d| (d, tree)))
-                    .min_by(|a, b| a.0.total_cmp(&b.0))
-                else {
-                    continue;
-                };
-                // Reverse the instance→probe path into probe→instance and
-                // recompute cumulative distances from the probe side.
-                let Some(path) = tree.path_to(probe.host_pop) else {
-                    continue;
-                };
-                let total = path.last().map(|(_, d)| *d).unwrap_or(0.0);
-                let reversed: Vec<(PopId, f32)> = path
-                    .iter()
-                    .rev()
-                    .map(|(pop, cum)| (*pop, total - *cum))
-                    .collect();
-                let rec = self.engine.trace_along(
-                    &reversed,
-                    probe.true_coord,
-                    probe.id.0,
-                    src_ip,
-                    target.addr,
-                );
-                out.push(rec);
+            for (addr, tree) in &self.targets {
+                if let Some(path) = tree.path_to_root(probe.host_pop) {
+                    out.push(self.engine.trace_along(
+                        &path,
+                        probe.true_coord,
+                        probe.id.0,
+                        src_ip,
+                        *addr,
+                    ));
+                }
             }
         }
         out
     }
 }
 
+/// Place every service: its address and its instance PoPs in rank order,
+/// drawn from the global-transit PoPs by the campaign seed.
+fn place_services(world: &World, config: &AtlasConfig) -> Vec<(Ipv4Addr, Vec<PopId>)> {
+    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0075);
+    let global_pops: Vec<PopId> = world
+        .pops
+        .iter()
+        .filter(|p| world.operator(p.op).kind == OperatorKind::GlobalTransit)
+        .map(|p| p.id)
+        .collect();
+    (0..config.targets)
+        .map(|t| {
+            let mut pool = global_pops.clone();
+            pool.shuffle(&mut rng);
+            pool.truncate(config.instances_per_target.max(1));
+            // Service addresses live outside the router plan
+            // (100.64.0.0/10 is never allocated to operators).
+            (Ipv4Addr::new(100, 64 + (t as u8 % 64), 0, 53), pool)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use routergeo_world::{World, WorldConfig};
+    use routergeo_world::{Scale, World, WorldConfig};
 
     fn run_builtins(seed: u64) -> (World, Vec<TracerouteRecord>) {
         let w = World::generate(WorldConfig::tiny(seed));
@@ -212,6 +198,94 @@ mod tests {
         for rec in records.iter().take(100) {
             assert!(w.find_interface(rec.dst_ip).is_none());
         }
+    }
+
+    /// The per-instance semantics the multi-source tree replaces: one
+    /// tree per instance, the first instance at minimum path distance,
+    /// and its instance→probe path reversed.
+    fn reference_run(
+        world: &World,
+        topo: &Topology,
+        config: &AtlasConfig,
+    ) -> Vec<TracerouteRecord> {
+        let engine = TraceEngine::new(world, config.seed);
+        let services: Vec<(Ipv4Addr, Vec<PathTree>)> = place_services(world, config)
+            .into_iter()
+            .map(|(addr, pops)| {
+                (
+                    addr,
+                    pops.iter().map(|p| topo.shortest_paths(&[*p])).collect(),
+                )
+            })
+            .collect();
+        let mut out = Vec::new();
+        for probe in &world.probes {
+            let src_ip = Ipv4Addr::new(
+                240,
+                (probe.id.0 >> 16) as u8,
+                (probe.id.0 >> 8) as u8,
+                probe.id.0 as u8,
+            );
+            for (addr, trees) in &services {
+                let Some((_, tree)) = trees
+                    .iter()
+                    .filter_map(|t| t.distance_km(probe.host_pop).map(|d| (d, t)))
+                    .min_by(|a, b| a.0.total_cmp(&b.0))
+                else {
+                    continue;
+                };
+                let path = tree.path_to(probe.host_pop).expect("reachable");
+                let total = path.last().map(|(_, d)| *d).unwrap_or(0.0);
+                let reversed: Vec<(PopId, f32)> = path
+                    .iter()
+                    .rev()
+                    .map(|(pop, cum)| (*pop, total - *cum))
+                    .collect();
+                out.push(engine.trace_along(
+                    &reversed,
+                    probe.true_coord,
+                    probe.id.0,
+                    src_ip,
+                    *addr,
+                ));
+            }
+        }
+        out
+    }
+
+    /// The two campaign salts the Lab runs.
+    const LAB_SALTS: [u64; 2] = [0xA71A5, 0x16_1A5];
+
+    fn assert_matches_reference(world: &World, targets: usize, instances: usize) {
+        let topo = Topology::build(world);
+        for salt in LAB_SALTS {
+            let cfg = AtlasConfig {
+                seed: world.config.seed ^ salt,
+                targets,
+                instances_per_target: instances,
+            };
+            let got = AtlasBuiltins::new(world, &topo, cfg.clone()).run();
+            let want = reference_run(world, &topo, &cfg);
+            assert_eq!(got.len(), want.len(), "salt {salt:#x}");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g, w, "record {i}, salt {salt:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_source_trees_match_per_instance_nearest_paths() {
+        for seed in 0..20 {
+            let w = World::generate(WorldConfig::tiny(1000 + seed));
+            assert_matches_reference(&w, 4, 8);
+        }
+    }
+
+    #[test]
+    #[ignore = "tenth-scale world; run with --ignored in release"]
+    fn multi_source_trees_match_per_instance_nearest_paths_at_tenth_scale() {
+        let w = World::generate(WorldConfig::new(20170301, Scale::Tenth));
+        assert_matches_reference(&w, 13, 8);
     }
 
     #[test]

@@ -70,8 +70,8 @@ impl<'w> TraceEngine<'w> {
     }
 
     /// Trace along an explicit PoP path with cumulative distances from the
-    /// source. Used directly when the path was computed from the far end
-    /// (anycast target trees) and reversed.
+    /// source. Used directly when the path was walked from the far end
+    /// (a probe's PoP back to the root of an anycast service's tree).
     pub fn trace_along(
         &self,
         path: &[(PopId, f32)],
@@ -214,7 +214,7 @@ mod tests {
         let (w, topo) = setup();
         let engine = TraceEngine::new(&w, 7);
         let src = w.pops[0].id;
-        let tree = topo.shortest_paths(src);
+        let tree = topo.shortest_paths(&[src]);
         let src_coord = w.city(w.pop(src).city).coord;
         let dst_pop = w.pops[w.pops.len() / 2].id;
         let dst_ip: Ipv4Addr = "198.51.100.7".parse().unwrap();
@@ -248,7 +248,7 @@ mod tests {
         engine.hop_loss = 0.0;
         engine.abort_prob = 0.0;
         let src = w.pops[1].id;
-        let tree = topo.shortest_paths(src);
+        let tree = topo.shortest_paths(&[src]);
         let src_coord = w.city(w.pop(src).city).coord;
         let dst_pop = w.pops[w.pops.len() - 1].id;
         let rec = engine
@@ -277,7 +277,7 @@ mod tests {
         engine.abort_prob = 0.0;
         for (si, di) in [(0usize, 5usize), (2, 9), (4, 20)] {
             let src = w.pops[si % w.pops.len()].id;
-            let tree = topo.shortest_paths(src);
+            let tree = topo.shortest_paths(&[src]);
             let src_coord = w.city(w.pop(src).city).coord;
             let dst_pop = w.pops[di % w.pops.len()].id;
             let rec = engine
@@ -314,7 +314,7 @@ mod tests {
         engine.hop_loss = 0.9;
         engine.abort_prob = 0.0;
         let src = w.pops[0].id;
-        let tree = topo.shortest_paths(src);
+        let tree = topo.shortest_paths(&[src]);
         let src_coord = w.city(w.pop(src).city).coord;
         let dst_pop = w.pops[w.pops.len() / 3].id;
         let rec = engine
@@ -341,7 +341,7 @@ mod tests {
         engine.abort_prob = 0.0;
         engine.dst_reply_prob = 0.0;
         let src = w.pops[2].id;
-        let tree = topo.shortest_paths(src);
+        let tree = topo.shortest_paths(&[src]);
         let src_coord = w.city(w.pop(src).city).coord;
         let dst_pop = w.pops[w.pops.len() - 2].id;
         let path: Vec<PopId> = tree

@@ -18,7 +18,7 @@
 //! routes and, through the RTT model, physically consistent delays.
 
 use routergeo_world::{AsId, CityId, OperatorKind, PopId, World};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
@@ -190,101 +190,100 @@ impl Topology {
         &self.adj[pop.index()]
     }
 
-    /// Single-source shortest paths (Dijkstra) from `src`.
-    pub fn shortest_paths(&self, src: PopId) -> PathTree {
-        const UNREACHED: u32 = u32::MAX;
-        let n = self.adj.len();
-        let mut dist = vec![f32::INFINITY; n];
-        let mut prev = vec![UNREACHED; n];
-        let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
-        dist[src.index()] = 0.0;
-        prev[src.index()] = src.0;
-        heap.push(HeapItem {
-            dist: 0.0,
-            node: src.0,
-        });
-        while let Some(HeapItem { dist: d, node }) = heap.pop() {
-            if d > dist[node as usize] {
+    /// Shortest paths (Dijkstra) from the nearest of `sources`.
+    ///
+    /// Every node keeps the smallest (distance, source rank) label, so on
+    /// an exact distance tie the source listed first wins. A node's path
+    /// leads back to the source that labelled it; with one source this is
+    /// the plain shortest-path tree.
+    pub fn shortest_paths(&self, sources: &[PopId]) -> PathTree {
+        let mut label = vec![pack(f32::INFINITY, u32::MAX); self.adj.len()];
+        let mut prev = vec![u32::MAX; self.adj.len()];
+        let mut heap = BinaryHeap::new();
+        for (rank, src) in (0u32..).zip(sources) {
+            let root = pack(0.0, rank);
+            if root < label[src.index()] {
+                label[src.index()] = root;
+                prev[src.index()] = src.0;
+                heap.push(Reverse((root, src.0)));
+            }
+        }
+        // Pops in (distance, rank, node) order; an entry is stale once
+        // its node holds a smaller label.
+        while let Some(Reverse((at, node))) = heap.pop() {
+            if at > label[node as usize] {
                 continue;
             }
+            let (dist, rank) = unpack(at);
             for &(next, w) in &self.adj[node as usize] {
-                let nd = d + w;
-                if nd < dist[next as usize] {
-                    dist[next as usize] = nd;
+                let via = pack(dist + w, rank);
+                if via < label[next as usize] {
+                    label[next as usize] = via;
                     prev[next as usize] = node;
-                    heap.push(HeapItem {
-                        dist: nd,
-                        node: next,
-                    });
+                    heap.push(Reverse((via, next)));
                 }
             }
         }
-        PathTree { src, dist, prev }
+        let dist = label.into_iter().map(|l| unpack(l).0).collect();
+        PathTree { dist, prev }
     }
 }
 
-#[derive(PartialEq)]
-struct HeapItem {
-    dist: f32,
-    node: u32,
+/// A Dijkstra label packed so that integer order is (distance, rank)
+/// order: edge weights are positive, and non-negative `f32`s order like
+/// their bit patterns.
+fn pack(dist: f32, rank: u32) -> u64 {
+    u64::from(dist.to_bits()) << 32 | u64::from(rank)
 }
 
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
+fn unpack(label: u64) -> (f32, u32) {
+    (f32::from_bits((label >> 32) as u32), label as u32)
 }
 
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Shortest-path tree from one source PoP.
+/// Shortest-path tree from one or more sources: each reached node's path
+/// distance and its predecessor toward its root. A root is its own
+/// predecessor.
 pub struct PathTree {
-    src: PopId,
     dist: Vec<f32>,
     prev: Vec<u32>,
 }
 
 impl PathTree {
-    /// The source PoP.
-    pub fn source(&self) -> PopId {
-        self.src
-    }
-
     /// Path distance in km to `dst`, `None` if unreachable.
     pub fn distance_km(&self, dst: PopId) -> Option<f32> {
         let d = self.dist[dst.index()];
         d.is_finite().then_some(d)
     }
 
-    /// Cumulative distance of every node on the path to `dst` — used by
-    /// the RTT model. `None` if unreachable.
+    /// The path from the root to `dst`, with the cumulative distance of
+    /// every node from the root — used by the RTT model. `None` if
+    /// unreachable.
     pub fn path_to(&self, dst: PopId) -> Option<Vec<(PopId, f32)>> {
-        if !self.dist[dst.index()].is_finite() {
-            return None;
-        }
-        let mut rev = Vec::new();
-        let mut cur = dst.0;
-        loop {
-            rev.push((PopId(cur), self.dist[cur as usize]));
-            if cur == self.src.0 {
-                break;
-            }
-            let p = self.prev[cur as usize];
-            debug_assert_ne!(p, u32::MAX, "reachable node must have a predecessor");
-            cur = p;
-        }
-        rev.reverse();
-        Some(rev)
+        self.distance_km(dst)?;
+        let mut path: Vec<_> = self.walk(dst).map(|p| (p, self.dist[p.index()])).collect();
+        path.reverse();
+        Some(path)
+    }
+
+    /// The path from `dst` back to its root, with cumulative distances
+    /// measured from `dst`. The graph is undirected, so this is the
+    /// shortest path from `dst` to its nearest source. `None` if
+    /// unreachable.
+    pub fn path_to_root(&self, dst: PopId) -> Option<Vec<(PopId, f32)>> {
+        let total = self.distance_km(dst)?;
+        Some(
+            self.walk(dst)
+                .map(|p| (p, total - self.dist[p.index()]))
+                .collect(),
+        )
+    }
+
+    /// `dst` and its predecessors up to the root.
+    fn walk(&self, dst: PopId) -> impl Iterator<Item = PopId> + '_ {
+        std::iter::successors(Some(dst), |cur| {
+            let p = PopId(self.prev[cur.index()]);
+            (p != *cur).then_some(p)
+        })
     }
 }
 
@@ -308,7 +307,7 @@ mod tests {
             .iter()
             .find(|p| w.operator(p.op).kind == OperatorKind::Stub)
             .expect("some stub");
-        let tree = topo.shortest_paths(stub.id);
+        let tree = topo.shortest_paths(&[stub.id]);
         let reachable = (0..w.pops.len())
             .filter(|i| tree.distance_km(PopId(*i as u32)).is_some())
             .count();
@@ -335,7 +334,7 @@ mod tests {
         let w = world();
         let topo = Topology::build(&w);
         let src = w.pops[0].id;
-        let tree = topo.shortest_paths(src);
+        let tree = topo.shortest_paths(&[src]);
         let dst = w.pops[w.pops.len() - 1].id;
         let path = tree.path_to(dst).expect("reachable");
         assert_eq!(path.first().unwrap().0, src);
@@ -353,7 +352,7 @@ mod tests {
         let w = world();
         let topo = Topology::build(&w);
         let src = w.pops[3].id;
-        let tree = topo.shortest_paths(src);
+        let tree = topo.shortest_paths(&[src]);
         let src_coord = w.city(w.pop(src).city).coord;
         for pop in w.pops.iter().step_by(17) {
             if let Some(d) = tree.distance_km(pop.id) {
@@ -371,7 +370,7 @@ mod tests {
         let w = world();
         let topo = Topology::build(&w);
         let src = w.pops[0].id;
-        let tree = topo.shortest_paths(src);
+        let tree = topo.shortest_paths(&[src]);
         let path = tree.path_to(src).unwrap();
         assert_eq!(path.len(), 1);
         assert_eq!(tree.distance_km(src), Some(0.0));
