@@ -105,18 +105,25 @@ step_budget determinism-gate 120 cargo test -q --test parallel_determinism
 # compare every record at tenth scale, the scale the benchmark pins.
 step trace-reference cargo test --release -q -p routergeo-trace -- --ignored
 
+# Experiments reference gate: the pooled, resolve-once experiment tail
+# (HLOC, CBG, majority, endpoints, methodology, temporal drift, churn)
+# must equal its serial per-address reference on the tenth-scale lab the
+# benchmark pins. `--lib` keeps out the opt-in loadgen integration tests.
+step experiments-reference cargo test --release -q -p routergeo-bench --lib -- --ignored
+
 # Perf gate: fresh repro --timings vs the committed BENCH_pipeline.json
 # baseline; fails on a >2x per-stage wall-clock regression after
 # median-normalising away machine speed. Refresh with
 # `cargo xtask bench-check --bless` when a slowdown is intentional.
 step bench-check cargo xtask bench-check
 
-# Observability gate: a traced Tiny run must satisfy every structural
-# invariant of the obs JSONL schema — span open/close accounting,
-# counter identities (cdf/cymru/pool/serve), histogram bucket totals.
+# Observability gate: a traced Tiny run of every experiment must satisfy
+# every structural invariant of the obs JSONL schema — span open/close
+# accounting, counter identities (cdf/cymru/pool/serve), histogram
+# bucket totals.
 step obs-trace env ROUTERGEO_SCALE=tiny ROUTERGEO_SEED=20170301 \
     sh -c "cargo run --release -q -p routergeo-bench --bin repro -- \
-        table1 coverage consistency fig2 --obs $ART_DIR/obs_ci.jsonl > /dev/null"
+        all --obs $ART_DIR/obs_ci.jsonl > /dev/null"
 step obs-check cargo xtask obs-check "$ART_DIR/obs_ci.jsonl"
 
 # Fuzz gate: the seeded mutation/protocol/differential harness must

@@ -273,36 +273,73 @@ fn main() {
         }
     }
 
+    // The experiment tail: each experiment is its own stage, so
+    // `--timings` and `--obs` (`stage.<name>` spans) attribute its time.
+    let gt_rows = lab.gt.len() * lab.dbs.len();
     if want("arin") {
-        let (_, t) = exp::arin(&lab);
+        let (_, t) = time_stage(&mut stages, "arin", |_| gt_rows, || exp::arin(&lab));
         out.emit("arin_case", &t);
     }
     if want("validate") {
-        let (_, _, tables) = exp::validation(&lab);
+        let (_, _, tables) = time_stage(
+            &mut stages,
+            "validate",
+            |_| lab.gt.len(),
+            || exp::validation(&lab),
+        );
         for (i, t) in tables.iter().enumerate() {
             out.emit(&format!("validate_{i}"), t);
         }
     }
     if want("method") {
-        let (_, t) = exp::methodology(&lab);
+        let (_, t) = time_stage(
+            &mut stages,
+            "method",
+            |_| lab.ark.len() * lab.dbs.len(),
+            || exp::methodology(&lab),
+        );
         out.emit("methodology", &t);
     }
 
     // Extensions beyond the paper.
     if want("majority") {
-        out.emit("ext_majority", &exp::majority(&lab));
+        let t = time_stage(&mut stages, "majority", |_| gt_rows, || exp::majority(&lab));
+        out.emit("ext_majority", &t);
     }
     if want("endpoints") {
-        out.emit("ext_endpoints", &exp::endpoints(&lab));
+        let t = time_stage(
+            &mut stages,
+            "endpoints",
+            |_| gt_rows,
+            || exp::endpoints(&lab),
+        );
+        out.emit("ext_endpoints", &t);
     }
     if want("cbg") {
-        out.emit("ext_cbg", &exp::cbg(&lab));
+        let t = time_stage(
+            &mut stages,
+            "cbg",
+            |_| lab.atlas_records.len(),
+            || exp::cbg(&lab),
+        );
+        out.emit("ext_cbg", &t);
     }
     if want("hloc") {
-        out.emit("ext_hloc", &exp::hloc(&lab));
+        let t = time_stage(
+            &mut stages,
+            "hloc",
+            |_| lab.world.interfaces.len(),
+            || exp::hloc(&lab),
+        );
+        out.emit("ext_hloc", &t);
     }
     if want("temporal") {
-        let (drift, acc) = exp::temporal(&lab);
+        let (drift, acc) = time_stage(
+            &mut stages,
+            "temporal",
+            |_| 2 * gt_rows,
+            || exp::temporal(&lab),
+        );
         out.emit("ext_temporal_drift", &drift);
         out.emit("ext_temporal_accuracy", &acc);
     }

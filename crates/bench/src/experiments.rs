@@ -5,11 +5,12 @@
 //! qualitative shapes without re-parsing text.
 
 use crate::Lab;
-use routergeo_core::accuracy::{self, AccuracyReport};
+use routergeo_core::accuracy::{self, AccuracyReport, VendorAccuracy};
 use routergeo_core::arin_case::{arin_case_study, ArinCaseStudy};
 use routergeo_core::consistency::{consistency_from_view, ConsistencyReport};
 use routergeo_core::coverage::{coverage_from_view, CoverageReport};
 use routergeo_core::groundtruth::{GtMethod, Table1Row};
+use routergeo_core::hloc::{verify_hints, HlocReport};
 use routergeo_core::methodology::{methodology_checks, MethodologyReport};
 use routergeo_core::recommend::recommendations;
 use routergeo_core::report::{cdf_series, pct, TextTable};
@@ -17,8 +18,12 @@ use routergeo_core::validation::{
     churn_stats, dns_vs_onems, dns_vs_rtt, rtt_vs_onems, ChurnStats, OverlapAgreement,
 };
 use routergeo_core::ResolvedView;
+use routergeo_db::diff::{diff_columns, DiffReport};
+use routergeo_db::GeoDatabase;
 use routergeo_dns::ChurnConfig;
 use routergeo_geo::{Rir, CITY_RANGE_KM};
+use routergeo_rtt::cbg::CbgEstimate;
+use std::net::Ipv4Addr;
 
 /// Diagnostic: composition of the world and the Ark set — operator-kind
 /// shares and the share of addresses whose registry country disagrees with
@@ -518,7 +523,13 @@ pub fn method_split(report: &AccuracyReport) -> TextTable {
 /// QA counters, and hostname churn.
 pub fn validation(lab: &Lab) -> (OverlapAgreement, ChurnStats, Vec<TextTable>) {
     let overlap = dns_vs_rtt(&lab.gt, &lab.rtt);
-    let churn = churn_stats(&lab.world, &lab.engine, &lab.gt, ChurnConfig::default());
+    let churn = churn_stats(
+        &lab.world,
+        &lab.engine,
+        &lab.gt,
+        ChurnConfig::default(),
+        &lab.pool,
+    );
     let mut tables = Vec::new();
 
     let mut t = TextTable::new(
@@ -610,15 +621,12 @@ pub fn validation(lab: &Lab) -> (OverlapAgreement, ChurnStats, Vec<TextTable>) {
 
 /// E12 — §4 methodology checks.
 pub fn methodology(lab: &Lab) -> (MethodologyReport, TextTable) {
-    // Sample the Ark set to bound cost at paper scale.
-    let sample: Vec<std::net::Ipv4Addr> = lab
-        .ark
-        .interfaces
-        .iter()
-        .step_by((lab.ark.len() / 50_000).max(1))
-        .copied()
-        .collect();
-    let report = methodology_checks(&lab.dbs, &lab.gazetteer, &sample);
+    let report = methodology_checks(
+        &lab.dbs,
+        &lab.gazetteer,
+        &methodology_sample(lab),
+        &lab.pool,
+    );
     let mut t = TextTable::new(
         "S4: methodology checks (coordinates within 40 km)",
         &["Check", "compared", "within 40 km"],
@@ -640,12 +648,25 @@ pub fn methodology(lab: &Lab) -> (MethodologyReport, TextTable) {
     (report, t)
 }
 
+/// The §4 sample: every k-th Ark address, k = ⌊|Ark| / 50 000⌋ (at
+/// least 1). Below 100 000 Ark addresses — tenth scale included — that
+/// is the whole Ark set; at paper scale it bounds the cost.
+pub(crate) fn methodology_sample(lab: &Lab) -> Vec<Ipv4Addr> {
+    lab.ark
+        .interfaces
+        .iter()
+        .step_by((lab.ark.len() / 50_000).max(1))
+        .copied()
+        .collect()
+}
+
 /// Extension X1 — the majority-vote methodology of the prior work the
 /// paper contrasts against (§7): apparent accuracy (vs the databases'
 /// majority) against true accuracy (vs ground truth), plus the blind spot
 /// (agreeing while wrong).
 pub fn majority(lab: &Lab) -> TextTable {
-    let comparisons = routergeo_core::majority::compare_against_majority(&lab.dbs, &lab.gt);
+    let comparisons =
+        routergeo_core::majority::compare_against_majority(&lab.dbs, &lab.gt, &lab.pool);
     let mut t = TextTable::new(
         "Extension: majority-vote vs ground-truth evaluation (country level)",
         &[
@@ -673,8 +694,9 @@ pub fn majority(lab: &Lab) -> TextTable {
 /// Extension X2 — §8's closing claim: databases geolocate end hosts better
 /// than routers.
 pub fn endpoints(lab: &Lab) -> TextTable {
-    let comparisons =
-        routergeo_core::endpoint::routers_vs_endpoints(&lab.dbs, &lab.world, &lab.gt, 5_000);
+    let comparisons = routergeo_core::endpoint::routers_vs_endpoints(
+        &lab.dbs, &lab.world, &lab.gt, 5_000, &lab.pool,
+    );
     let mut t = TextTable::new(
         "Extension: router vs end-host accuracy",
         &[
@@ -703,8 +725,8 @@ pub fn endpoints(lab: &Lab) -> TextTable {
 /// CBG over the Atlas probe fleet vs the databases, on the routers CBG can
 /// reach with ≥ 2 landmarks.
 pub fn cbg(lab: &Lab) -> TextTable {
-    use routergeo_db::GeoDatabase;
-    let results = routergeo_rtt::cbg::evaluate_cbg(&lab.world, &lab.atlas_records, 20.0, 2);
+    let results =
+        routergeo_rtt::cbg::evaluate_cbg(&lab.world, &lab.atlas_records, 20.0, 2, &lab.pool);
     let mut t = TextTable::new(
         format!(
             "Extension: CBG (delay-based) vs databases over {} multi-landmark routers",
@@ -724,22 +746,17 @@ pub fn cbg(lab: &Lab) -> TextTable {
         pct(cbg_cdf.fraction_leq(100.0)),
         "100.0%".to_string(),
     ]);
-    for db in &lab.dbs {
-        let mut errs = Vec::new();
-        let mut covered = 0usize;
-        for (ip, _, _) in &results {
-            let Some(rec) = db.lookup(*ip) else { continue };
-            if !rec.has_city() {
-                continue;
-            }
-            covered += 1;
-            let router = lab.world.router_of_ip(*ip).expect("interface");
-            errs.push(rec.coord.expect("city").distance_km(&router.coord));
-        }
+    for (name, errs) in lab
+        .dbs
+        .iter()
+        .map(|db| db.name())
+        .zip(cbg_db_errors(lab, &results))
+    {
+        let covered = errs.len();
         let (cdf, db_dropped) = routergeo_geo::EmpiricalCdf::from_iter_lossy(errs);
         dropped_nan += db_dropped;
         t.row(&[
-            db.name().to_string(),
+            name.to_string(),
             cdf.median().map(|m| format!("{m:.1}")).unwrap_or_default(),
             pct(cdf.fraction_leq(40.0)),
             pct(cdf.fraction_leq(100.0)),
@@ -758,20 +775,40 @@ pub fn cbg(lab: &Lab) -> TextTable {
     t
 }
 
+/// Per database, in target order: the distance from each city-level
+/// answer for a CBG target to the target's router. One view resolves
+/// every target in every database on the lab pool.
+pub(crate) fn cbg_db_errors(lab: &Lab, results: &[(Ipv4Addr, CbgEstimate, f64)]) -> Vec<Vec<f64>> {
+    let ips: Vec<Ipv4Addr> = results.iter().map(|(ip, _, _)| *ip).collect();
+    let routers: Vec<_> = ips
+        .iter()
+        .map(|ip| {
+            lab.world
+                .router_of_ip(*ip)
+                .expect("CBG targets are interfaces")
+                .coord
+        })
+        .collect();
+    let view = ResolvedView::build_with(&lab.dbs, &ips, &lab.pool);
+    (0..view.db_count())
+        .map(|d| {
+            view.column(d)
+                .iter()
+                .zip(&routers)
+                .filter_map(|(rec, router)| {
+                    let rec = rec.filter(|r| r.has_city())?;
+                    Some(rec.coord.expect("city").distance_km(router))
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Extension X4 — temporal drift: re-release every database one epoch
 /// later (the paper's 50-day re-access, §5.2) and check that the drift is
 /// small and the accuracy conclusions are unchanged.
 pub fn temporal(lab: &Lab) -> (TextTable, TextTable) {
-    use routergeo_db::diff::diff_databases;
-    use routergeo_db::synth::{build_vendor_with, SignalWorld, VendorProfile};
-
-    let signals = SignalWorld::new(&lab.world);
-    let later: Vec<_> = VendorProfile::all_presets()
-        .into_iter()
-        .map(|p| build_vendor_with(&signals, &p.at_epoch(1), &lab.pool))
-        .collect();
-
-    let gt_ips: Vec<std::net::Ipv4Addr> = lab.gt.entries.iter().map(|e| e.ip).collect();
+    let (drifts, overall) = temporal_results(lab);
     let mut drift = TextTable::new(
         "Extension: snapshot drift over one release epoch (ground-truth addresses)",
         &[
@@ -781,8 +818,7 @@ pub fn temporal(lab: &Lab) -> (TextTable, TextTable) {
             "median move km",
         ],
     );
-    for (old, new) in lab.dbs.iter().zip(later.iter()) {
-        let report = diff_databases(old, new, &gt_ips);
+    for report in &drifts {
         drift.row(&[
             report.database.clone(),
             pct(report.any_change_rate()),
@@ -795,8 +831,6 @@ pub fn temporal(lab: &Lab) -> (TextTable, TextTable) {
         ]);
     }
 
-    let before = accuracy::evaluate_with(&lab.dbs, &lab.gt, 5, &lab.pool);
-    let after = accuracy::evaluate_with(&later, &lab.gt, 5, &lab.pool);
     let mut acc = TextTable::new(
         "Extension: accuracy before/after one release epoch",
         &[
@@ -807,7 +841,8 @@ pub fn temporal(lab: &Lab) -> (TextTable, TextTable) {
             "city acc (new)",
         ],
     );
-    for (a, b) in before.overall.iter().zip(after.overall.iter()) {
+    let (before, after) = overall.split_at(drifts.len());
+    for (a, b) in before.iter().zip(after) {
         acc.row(&[
             a.database.clone(),
             pct(a.country_accuracy()),
@@ -819,39 +854,37 @@ pub fn temporal(lab: &Lab) -> (TextTable, TextTable) {
     (drift, acc)
 }
 
+/// The numbers behind [`temporal`]: per database, the drift between the
+/// current snapshot and the one-epoch-later re-release over the
+/// ground-truth addresses; then the overall accuracy of every current
+/// snapshot followed by every later one.
+///
+/// One eight-column view (current snapshots, then later ones) resolves
+/// the ground truth once on the lab pool. The columns share one
+/// interner, so compact-record equality is record equality and the
+/// drift diff reads the columns directly.
+pub(crate) fn temporal_results(lab: &Lab) -> (Vec<DiffReport>, Vec<VendorAccuracy>) {
+    use routergeo_db::synth::{build_vendor_with, SignalWorld, VendorProfile};
+
+    let signals = SignalWorld::new(&lab.world);
+    let later: Vec<_> = VendorProfile::all_presets()
+        .into_iter()
+        .map(|p| build_vendor_with(&signals, &p.at_epoch(1), &lab.pool))
+        .collect();
+    let snapshots: Vec<&routergeo_db::InMemoryDb> = lab.dbs.iter().chain(&later).collect();
+    let gt_ips: Vec<Ipv4Addr> = lab.gt.entries.iter().map(|e| e.ip).collect();
+    let view = ResolvedView::build_with(&snapshots, &gt_ips, &lab.pool);
+    let n = lab.dbs.len();
+    let drifts = (0..n)
+        .map(|d| diff_columns(&view.databases()[d], view.column(d), view.column(n + d)))
+        .collect();
+    (drifts, accuracy::overall_from_view(&view, &lab.gt))
+}
+
 /// Extension X5 — HLOC-style hint verification: confirm/refute hostname
 /// hints with latency constraints, before and after 16 months of churn.
 pub fn hloc(lab: &Lab) -> TextTable {
-    use routergeo_core::hloc::verify_hints;
-    use routergeo_dns::{ChurnConfig, ChurnModel, ChurnOutcome};
-
-    let fresh = verify_hints(
-        &lab.world,
-        &lab.engine,
-        &lab.atlas_records,
-        20.0,
-        30.0,
-        None,
-    );
-    let model = ChurnModel::new(&lab.world, ChurnConfig::default());
-    let churned = |id: routergeo_world::InterfaceId| -> Option<String> {
-        match model.evolve(id) {
-            ChurnOutcome::Same(h)
-            | ChurnOutcome::RenamedSameLocation(h)
-            | ChurnOutcome::HintLost(h)
-            | ChurnOutcome::Moved(h, _) => Some(h),
-            ChurnOutcome::Gone => None,
-        }
-    };
-    let evolved = verify_hints(
-        &lab.world,
-        &lab.engine,
-        &lab.atlas_records,
-        20.0,
-        30.0,
-        Some(&churned),
-    );
-
+    let reports = hloc_reports(lab);
     let mut t = TextTable::new(
         "Extension: HLOC-style hint verification with latency constraints",
         &[
@@ -863,10 +896,10 @@ pub fn hloc(lab: &Lab) -> TextTable {
             "confirm rate",
         ],
     );
-    for (label, r) in [
-        ("fresh hostnames", &fresh),
-        ("after 16-month churn", &evolved),
-    ] {
+    for (label, r) in ["fresh hostnames", "after 16-month churn"]
+        .iter()
+        .zip(&reports)
+    {
         t.row(&[
             label.to_string(),
             r.decoded.to_string(),
@@ -877,6 +910,32 @@ pub fn hloc(lab: &Lab) -> TextTable {
         ]);
     }
     t
+}
+
+/// The numbers behind [`hloc`]: the fresh-hostname report, then the
+/// report after churn, from one verification pass.
+pub(crate) fn hloc_reports(lab: &Lab) -> Vec<HlocReport> {
+    use routergeo_dns::{ChurnModel, ChurnOutcome};
+
+    let model = ChurnModel::new(&lab.world, ChurnConfig::default());
+    let churned = |id: routergeo_world::InterfaceId| -> Option<String> {
+        match model.evolve(id) {
+            ChurnOutcome::Same(h)
+            | ChurnOutcome::RenamedSameLocation(h)
+            | ChurnOutcome::HintLost(h)
+            | ChurnOutcome::Moved(h, _) => Some(h),
+            ChurnOutcome::Gone => None,
+        }
+    };
+    verify_hints(
+        &lab.world,
+        &lab.engine,
+        &lab.atlas_records,
+        20.0,
+        30.0,
+        &[None, Some(&churned)],
+        &lab.pool,
+    )
 }
 
 /// §6 — the recommendations derived from the measured report.
@@ -1038,7 +1097,8 @@ mod tests {
     fn majority_vote_overstates_registry_fed_databases() {
         let t = majority(lab());
         assert_eq!(t.len(), 4);
-        let comparisons = routergeo_core::majority::compare_against_majority(&lab().dbs, &lab().gt);
+        let comparisons =
+            routergeo_core::majority::compare_against_majority(&lab().dbs, &lab().gt, &lab().pool);
         // Registry-fed databases look better under majority methodology
         // than they are; NetAcuity (the dissenter) does not.
         for c in &comparisons[..3] {
@@ -1059,6 +1119,7 @@ mod tests {
             &lab().world,
             &lab().gt,
             2_000,
+            &lab().pool,
         );
         // The registry-fed databases must show a clear endpoint advantage;
         // NetAcuity's hint mining can nearly close the gap on tiny worlds.
@@ -1071,7 +1132,13 @@ mod tests {
     #[test]
     fn cbg_extension_runs_and_is_competitive() {
         let _ = cbg(lab());
-        let results = routergeo_rtt::cbg::evaluate_cbg(&lab().world, &lab().atlas_records, 20.0, 2);
+        let results = routergeo_rtt::cbg::evaluate_cbg(
+            &lab().world,
+            &lab().atlas_records,
+            20.0,
+            2,
+            &lab().pool,
+        );
         assert!(results.len() > 100, "{} CBG targets", results.len());
         let (cdf, dropped) =
             routergeo_geo::EmpiricalCdf::from_iter_lossy(results.iter().map(|(_, _, e)| *e));

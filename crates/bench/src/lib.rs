@@ -13,6 +13,8 @@
 
 pub mod experiments;
 pub mod lab;
+#[cfg(test)]
+mod reference;
 pub mod timing;
 
 pub use lab::{Lab, LabConfig, StageTiming};

@@ -1,4 +1,4 @@
-//! End-to-end observability: `repro --obs` at Tiny scale emits a JSONL
+//! End-to-end observability: `repro all --obs` at Tiny scale emits a JSONL
 //! trace that passes every structural invariant of
 //! `routergeo_obs::check` (the library behind `cargo xtask obs-check`),
 //! covers the pipeline stages, carries the cymru bulk-whois counters —
@@ -17,7 +17,7 @@ fn traced_run(threads: usize, tag: &str) -> String {
     ));
     let _ = std::fs::remove_file(&path);
     let status = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["table1", "coverage", "consistency", "fig2"])
+        .arg("all")
         .arg("--obs")
         .arg(&path)
         .arg("--threads")
@@ -71,6 +71,20 @@ fn tiny_obs_trace_passes_check_and_metrics_match_across_thread_counts() {
             "{label}: only {} stage spans: {stages:?}",
             stages.len()
         );
+        // Every experiment of the pooled tail is its own stage.
+        for tail in [
+            "arin",
+            "validate",
+            "method",
+            "majority",
+            "endpoints",
+            "cbg",
+            "hloc",
+            "temporal",
+        ] {
+            let stage = format!("stage.{tail}");
+            assert!(stages.contains(&stage), "{label}: no {stage} span");
+        }
 
         // The cymru socket exercise must be visible: requests made, the
         // per-address identity populated, and the degraded counter

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Accuracy of one database over one set of ground-truth entries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VendorAccuracy {
     /// Database name.
     pub database: String,
@@ -67,7 +67,11 @@ impl VendorAccuracy {
 /// `picks` pairs each entry with its row index in the view; iteration
 /// order is the slice order, so the error CDF sample sequence matches
 /// the serial loop over the same filter.
-fn evaluate_slice(view: &ResolvedView, db: usize, picks: &[(usize, &GtEntry)]) -> VendorAccuracy {
+pub(crate) fn evaluate_slice(
+    view: &ResolvedView,
+    db: usize,
+    picks: &[(usize, &GtEntry)],
+) -> VendorAccuracy {
     let mut span = routergeo_obs::span!(
         "core.accuracy",
         database = view.databases()[db],
@@ -223,7 +227,7 @@ pub fn evaluate_from_view(
     let n = view.db_count();
     let all: Vec<(usize, &GtEntry)> = gt.entries.iter().enumerate().collect();
 
-    let overall: Vec<VendorAccuracy> = (0..n).map(|d| evaluate_slice(view, d, &all)).collect();
+    let overall = overall_from_view(view, gt);
 
     let rir_picks: Vec<Vec<(usize, &GtEntry)>> = Rir::TABLE1_ORDER
         .iter()
@@ -303,6 +307,21 @@ pub fn evaluate_from_view(
         degraded,
         rir_coverage,
     }
+}
+
+/// Overall accuracy of every column of a pre-built view whose rows
+/// correspond 1:1 (in order) to `gt.entries` — the [`AccuracyReport`]
+/// `overall` row alone, without the breakdowns.
+pub fn overall_from_view(view: &ResolvedView, gt: &GroundTruth) -> Vec<VendorAccuracy> {
+    assert_eq!(
+        view.len(),
+        gt.entries.len(),
+        "view rows must correspond to ground-truth entries"
+    );
+    let all: Vec<(usize, &GtEntry)> = gt.entries.iter().enumerate().collect();
+    (0..view.db_count())
+        .map(|d| evaluate_slice(view, d, &all))
+        .collect()
 }
 
 /// The three registry-fed databases' common-wrong-answer count (§5.2.2:

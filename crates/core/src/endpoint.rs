@@ -12,9 +12,11 @@
 //! city), evaluates every database on them, and contrasts the result with
 //! the router ground truth.
 
-use crate::accuracy::{evaluate_entries, VendorAccuracy};
+use crate::accuracy::{evaluate_slice, VendorAccuracy};
 use crate::groundtruth::{GroundTruth, GtEntry, GtMethod};
+use crate::resolve::ResolvedView;
 use routergeo_db::GeoDatabase;
+use routergeo_pool::Pool;
 use routergeo_world::{OperatorKind, World};
 use std::net::Ipv4Addr;
 
@@ -59,7 +61,7 @@ pub fn endpoint_ground_truth(world: &World, max: usize) -> Vec<GtEntry> {
 }
 
 /// Router-vs-endpoint comparison for one database.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EndpointComparison {
     /// Database name.
     pub database: String,
@@ -83,18 +85,32 @@ impl EndpointComparison {
 }
 
 /// Evaluate every database over both populations.
+///
+/// The router ground truth and the endpoint sample are resolved together
+/// into one [`ResolvedView`] on `pool` (router rows first), and each
+/// population is tallied from its rows of the shared columns.
 pub fn routers_vs_endpoints<D: GeoDatabase + Sync>(
     dbs: &[D],
     world: &World,
     router_gt: &GroundTruth,
     endpoint_sample: usize,
+    pool: &Pool,
 ) -> Vec<EndpointComparison> {
     let endpoints = endpoint_ground_truth(world, endpoint_sample);
-    dbs.iter()
-        .map(|db| EndpointComparison {
-            database: db.name().to_string(),
-            routers: evaluate_entries(db, &router_gt.entries),
-            endpoints: evaluate_entries(db, &endpoints),
+    let rows: Vec<(usize, &GtEntry)> = router_gt
+        .entries
+        .iter()
+        .chain(&endpoints)
+        .enumerate()
+        .collect();
+    let ips: Vec<Ipv4Addr> = rows.iter().map(|(_, e)| e.ip).collect();
+    let view = ResolvedView::build_with(dbs, &ips, pool);
+    let (routers, hosts) = rows.split_at(router_gt.entries.len());
+    (0..view.db_count())
+        .map(|d| EndpointComparison {
+            database: view.databases()[d].clone(),
+            routers: evaluate_slice(&view, d, routers),
+            endpoints: evaluate_slice(&view, d, hosts),
         })
         .collect()
 }
@@ -168,7 +184,7 @@ mod tests {
             overlap: vec![],
             degraded: vec![],
         };
-        let cmp = routers_vs_endpoints(&dbs, &w, &router_gt, 1_000);
+        let cmp = routers_vs_endpoints(&dbs, &w, &router_gt, 1_000, &Pool::new(2));
         assert_eq!(cmp.len(), 4);
         for c in &cmp {
             assert!(

@@ -10,9 +10,10 @@
 use routergeo_dns::rules::geolocate_interface;
 use routergeo_dns::RuleEngine;
 use routergeo_geo::Coordinate;
+use routergeo_pool::Pool;
 use routergeo_rtt::cbg::{collect_constraints, Constraint};
 use routergeo_trace::TracerouteRecord;
-use routergeo_world::World;
+use routergeo_world::{InterfaceId, World};
 use std::net::Ipv4Addr;
 
 /// Outcome of verifying one hint.
@@ -66,43 +67,83 @@ impl HlocReport {
     pub fn confirmation_rate(&self) -> f64 {
         routergeo_geo::stats::ratio(self.confirmed, self.confirmed + self.refuted)
     }
+
+    fn tally(&mut self, verdict: HintVerdict, ip: Ipv4Addr) {
+        self.decoded += 1;
+        match verdict {
+            HintVerdict::Confirmed => self.confirmed += 1,
+            HintVerdict::Refuted => {
+                self.refuted += 1;
+                self.refuted_addrs.push(ip);
+            }
+            HintVerdict::Unverifiable => self.unverifiable += 1,
+        }
+    }
+
+    fn absorb(&mut self, part: HlocReport) {
+        self.decoded += part.decoded;
+        self.confirmed += part.confirmed;
+        self.refuted += part.refuted;
+        self.unverifiable += part.unverifiable;
+        self.refuted_addrs.extend(part.refuted_addrs);
+    }
 }
 
+/// Interfaces per shard of the verification pass. Fixed, never derived
+/// from the thread count, so the merge order depends only on the world.
+const INTERFACE_SHARD_SIZE: usize = 8192;
+
+/// A hostname snapshot: the name an interface carries in it, or `None`
+/// when it has no rDNS record.
+pub type HostnameFn<'a> = dyn Fn(InterfaceId) -> Option<String> + Sync + 'a;
+
 /// Verify every decodable interface hint against constraints mined from
-/// measurement records. `hostname_of` lets the caller substitute evolved
-/// (churned) hostnames; pass `None` to use the world's current rDNS.
+/// measurement records, once per hostname snapshot: `None` uses the
+/// world's current rDNS, `Some(f)` substitutes evolved (churned) names.
+/// Returns one report per snapshot, in order.
+///
+/// The constraint map is built once and shared by every snapshot; one
+/// sharded pass over the interfaces on `pool` tallies all snapshots
+/// together, and the shard tallies merge in shard order.
 pub fn verify_hints(
     world: &World,
     engine: &RuleEngine,
     records: &[TracerouteRecord],
     max_rtt_ms: f64,
     slack_km: f64,
-    hostname_of: Option<&dyn Fn(routergeo_world::InterfaceId) -> Option<String>>,
-) -> HlocReport {
-    let constraints = collect_constraints(world, records, max_rtt_ms);
-    let mut report = HlocReport::default();
-    for (i, _iface) in world.interfaces.iter().enumerate() {
-        let id = routergeo_world::InterfaceId::from_index(i);
-        let decoded = match hostname_of {
-            Some(f) => f(id).and_then(|name| engine.decode(&name)),
-            None => geolocate_interface(world, engine, id),
-        };
-        let Some(city) = decoded else { continue };
-        report.decoded += 1;
-        let claimed = world.city(city).coord;
-        let ip = world.interfaces[i].ip;
-        let cs = constraints.get(&ip).map(Vec::as_slice).unwrap_or(&[]);
-        match verify_location(&claimed, cs, slack_km) {
-            HintVerdict::Confirmed => report.confirmed += 1,
-            HintVerdict::Refuted => {
-                report.refuted += 1;
-                report.refuted_addrs.push(ip);
+    snapshots: &[Option<&HostnameFn<'_>>],
+    pool: &Pool,
+) -> Vec<HlocReport> {
+    let constraints = collect_constraints(world, records, max_rtt_ms, pool);
+    let shards = pool.run_shards(0, world.interfaces.len(), INTERFACE_SHARD_SIZE, |shard| {
+        let mut reports = vec![HlocReport::default(); snapshots.len()];
+        for i in shard.start..shard.end {
+            let id = InterfaceId::from_index(i);
+            let ip = world.interfaces[i].ip;
+            let mut cs = None;
+            for (report, snapshot) in reports.iter_mut().zip(snapshots) {
+                let decoded = match snapshot {
+                    Some(f) => f(id).and_then(|name| engine.decode(&name)),
+                    None => geolocate_interface(world, engine, id),
+                };
+                let Some(city) = decoded else { continue };
+                let cs =
+                    *cs.get_or_insert_with(|| constraints.get(&ip).map_or(&[][..], Vec::as_slice));
+                report.tally(verify_location(&world.city(city).coord, cs, slack_km), ip);
             }
-            HintVerdict::Unverifiable => report.unverifiable += 1,
+        }
+        reports
+    });
+    let mut out = vec![HlocReport::default(); snapshots.len()];
+    for parts in shards {
+        for (report, part) in out.iter_mut().zip(parts) {
+            report.absorb(part);
         }
     }
-    report.refuted_addrs.sort();
-    report
+    for report in &mut out {
+        report.refuted_addrs.sort();
+    }
+    out
 }
 
 #[cfg(test)]
@@ -161,7 +202,8 @@ mod tests {
 
         // Current (truthful) hostnames: verifiable hints must be almost
         // entirely confirmed.
-        let fresh = verify_hints(&w, &engine, &records, 20.0, 30.0, None);
+        let pool = Pool::new(2);
+        let fresh = verify_hints(&w, &engine, &records, 20.0, 30.0, &[None], &pool).remove(0);
         assert!(fresh.decoded > 100, "decoded {}", fresh.decoded);
         // Most verifiable fresh hints confirm; the refuted tail comes from
         // *moved probes* acting as bad landmarks (the same §3.2 problem the
@@ -174,7 +216,7 @@ mod tests {
         // Churned hostnames: the moved ones now carry stale hints; the
         // confirmation rate must drop measurably.
         let model = ChurnModel::new(&w, ChurnConfig::default());
-        let churned = |id: routergeo_world::InterfaceId| -> Option<String> {
+        let churned = |id: InterfaceId| -> Option<String> {
             match model.evolve(id) {
                 ChurnOutcome::Same(h)
                 | ChurnOutcome::RenamedSameLocation(h)
@@ -186,7 +228,8 @@ mod tests {
                 ChurnOutcome::Gone => None,
             }
         };
-        let evolved = verify_hints(&w, &engine, &records, 20.0, 30.0, Some(&churned));
+        let evolved =
+            verify_hints(&w, &engine, &records, 20.0, 30.0, &[Some(&churned)], &pool).remove(0);
         assert!(
             evolved.confirmation_rate() <= fresh.confirmation_rate(),
             "churn did not reduce confirmation: {} vs {}",
@@ -211,7 +254,7 @@ mod tests {
             },
         )
         .run();
-        let constraints = collect_constraints(&w, &records, 5.0);
+        let constraints = collect_constraints(&w, &records, 5.0, &Pool::new(2));
         let mut refuted = 0usize;
         let mut checked = 0usize;
         for (ip, cs) in &constraints {

@@ -9,9 +9,11 @@
 //! itself is wrong (all registry-fed databases share the same upstream).
 
 use crate::groundtruth::GroundTruth;
+use crate::resolve::ResolvedView;
 use routergeo_db::GeoDatabase;
 use routergeo_geo::stats::ratio;
 use routergeo_geo::{Coordinate, CountryCode, CITY_RANGE_KM};
+use routergeo_pool::Pool;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -27,25 +29,29 @@ pub struct MajorityLocation {
     pub coord: Option<Coordinate>,
 }
 
-/// Compute the majority location for one address across databases.
-pub fn majority_location<D: GeoDatabase>(dbs: &[D], ip: Ipv4Addr) -> MajorityLocation {
-    let records: Vec<_> = dbs.iter().filter_map(|d| d.lookup(ip)).collect();
-
-    // Country: plurality vote, ties disqualify.
+/// Plurality vote over the databases' country answers: the winning
+/// country and its vote count. A tie for first place elects no country
+/// but still reports the top count.
+fn plurality(answers: impl IntoIterator<Item = CountryCode>) -> (Option<CountryCode>, usize) {
     let mut counts: HashMap<CountryCode, usize> = HashMap::new();
-    for r in &records {
-        if let Some(cc) = r.country {
-            *counts.entry(cc).or_default() += 1;
-        }
+    for cc in answers {
+        *counts.entry(cc).or_default() += 1;
     }
     let mut ranked: Vec<(CountryCode, usize)> = counts.into_iter().collect();
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let (country, votes) = match ranked.as_slice() {
+    match ranked.as_slice() {
         [] => (None, 0),
         [only] => (Some(only.0), only.1),
         [first, second, ..] if first.1 > second.1 => (Some(first.0), first.1),
         [first, ..] => (None, first.1), // tie
-    };
+    }
+}
+
+/// Compute the majority location for one address across databases.
+pub fn majority_location<D: GeoDatabase>(dbs: &[D], ip: Ipv4Addr) -> MajorityLocation {
+    let records: Vec<_> = dbs.iter().filter_map(|d| d.lookup(ip)).collect();
+
+    let (country, votes) = plurality(records.iter().filter_map(|r| r.country));
 
     // Coordinates: medoid of city-level answers — the answer minimizing
     // total distance to the others — provided it sits within the city
@@ -81,7 +87,7 @@ pub fn majority_location<D: GeoDatabase>(dbs: &[D], ip: Ipv4Addr) -> MajorityLoc
 }
 
 /// Scoring a database against the majority vs against the ground truth.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MajorityComparison {
     /// Database name.
     pub database: String,
@@ -114,14 +120,22 @@ impl MajorityComparison {
 }
 
 /// Score every database both ways over the ground-truth addresses.
-pub fn compare_against_majority<D: GeoDatabase>(
+///
+/// The addresses are resolved once into a [`ResolvedView`] on `pool`;
+/// the majority country and the per-database scores are tallied from
+/// its columns, in ground-truth order.
+pub fn compare_against_majority<D: GeoDatabase + Sync>(
     dbs: &[D],
     gt: &GroundTruth,
+    pool: &Pool,
 ) -> Vec<MajorityComparison> {
-    let mut out: Vec<MajorityComparison> = dbs
+    let ips: Vec<Ipv4Addr> = gt.entries.iter().map(|e| e.ip).collect();
+    let view = ResolvedView::build_with(dbs, &ips, pool);
+    let mut out: Vec<MajorityComparison> = view
+        .databases()
         .iter()
-        .map(|d| MajorityComparison {
-            database: d.name().to_string(),
+        .map(|name| MajorityComparison {
+            database: name.clone(),
             scored: 0,
             agrees_with_majority: 0,
             correct_per_truth: 0,
@@ -129,26 +143,26 @@ pub fn compare_against_majority<D: GeoDatabase>(
         })
         .collect();
 
-    for e in &gt.entries {
-        let majority = majority_location(dbs, e.ip);
-        let Some(maj_cc) = majority.country else {
+    for (row, e) in gt.entries.iter().enumerate() {
+        let answer = |d: usize| view.record(d, row).and_then(|r| r.country);
+        let (Some(maj_cc), _) = plurality((0..out.len()).filter_map(answer)) else {
             continue;
         };
-        for (i, db) in dbs.iter().enumerate() {
-            let Some(cc) = db.lookup(e.ip).and_then(|r| r.country) else {
+        for (d, scores) in out.iter_mut().enumerate() {
+            let Some(cc) = answer(d) else {
                 continue;
             };
-            out[i].scored += 1;
+            scores.scored += 1;
             let agrees = cc == maj_cc;
             let correct = cc == e.country;
             if agrees {
-                out[i].agrees_with_majority += 1;
+                scores.agrees_with_majority += 1;
             }
             if correct {
-                out[i].correct_per_truth += 1;
+                scores.correct_per_truth += 1;
             }
             if agrees && !correct {
-                out[i].agree_but_wrong += 1;
+                scores.agree_but_wrong += 1;
             }
         }
     }
@@ -234,7 +248,7 @@ mod tests {
             db("b", "US", 40.0),
             db("c", "US", 40.1),
         ];
-        let cmp = compare_against_majority(&dbs, &gt("CA"));
+        let cmp = compare_against_majority(&dbs, &gt("CA"), &Pool::new(2));
         for c in &cmp {
             assert_eq!(c.apparent_accuracy(), 1.0, "{c:?}");
             assert_eq!(c.true_accuracy(), 0.0);
@@ -252,7 +266,7 @@ mod tests {
             db("b", "US", 40.0),
             db("c", "CA", 55.0),
         ];
-        let cmp = compare_against_majority(&dbs, &gt("CA"));
+        let cmp = compare_against_majority(&dbs, &gt("CA"), &Pool::new(2));
         assert_eq!(cmp[2].apparent_accuracy(), 0.0); // right but outvoted
         assert_eq!(cmp[2].true_accuracy(), 1.0);
         assert_eq!(cmp[0].apparent_accuracy(), 1.0); // wrong but conformist

@@ -11,15 +11,16 @@
 //!    other more than 99% of the time — so coordinate comparison is a
 //!    sound substitute for city-name comparison.
 
-use routergeo_db::GeoDatabase;
+use routergeo_db::{GeoDatabase, LocationInterner};
 use routergeo_gazetteer::Gazetteer;
 use routergeo_geo::stats::ratio;
-use routergeo_geo::CITY_RANGE_KM;
+use routergeo_geo::{Coordinate, CountryCode, CITY_RANGE_KM};
+use routergeo_pool::Pool;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Result of the §4 sanity checks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MethodologyReport {
     /// Per database: (name, city records checked against the gazetteer,
     /// matches within the city range).
@@ -47,29 +48,55 @@ impl MethodologyReport {
     }
 }
 
+/// Addresses per shard of the city-table pass: a few shards even for
+/// small samples, while the batched readers still amortize their
+/// per-chunk work. Fixed, never derived from the thread count.
+const SAMPLE_SHARD_SIZE: usize = 4096;
+
+/// One database's city coordinate table as observed through lookups:
+/// (city name, country) → the first coordinate seen for it.
+type CityTable = HashMap<(String, CountryCode), Coordinate>;
+
 /// Run both checks over an address sample.
-pub fn methodology_checks<D: GeoDatabase>(
+///
+/// Each shard of `ips` resolves its chunk on `pool` and keeps, per
+/// database, the first coordinate it sees for each (city, country).
+/// The shard tables merge in shard order, first entry wins, which is
+/// exactly the first-seen table of a serial pass over the sample. No
+/// whole-sample view is built: shard state is bounded by the chunk.
+pub fn methodology_checks<D: GeoDatabase + Sync>(
     dbs: &[D],
     gazetteer: &Gazetteer,
     ips: &[Ipv4Addr],
+    pool: &Pool,
 ) -> MethodologyReport {
-    // Collect each database's city coordinate table as observed through
-    // lookups: city name (+country) → coordinate.
-    let mut per_db_cities: Vec<
-        HashMap<(String, routergeo_geo::CountryCode), routergeo_geo::Coordinate>,
-    > = vec![HashMap::new(); dbs.len()];
-    for ip in ips {
-        for (i, db) in dbs.iter().enumerate() {
-            let Some(rec) = db.lookup(*ip) else { continue };
-            if !rec.has_city() {
-                continue;
+    let shards = pool.map_shards(0, ips, SAMPLE_SHARD_SIZE, |_, chunk| {
+        let mut interner = LocationInterner::new();
+        dbs.iter()
+            .map(|db| {
+                let mut seen: HashMap<(u32, CountryCode), Coordinate> = HashMap::new();
+                for rec in db.lookup_batch(chunk, &mut interner).into_iter().flatten() {
+                    if let (Some(city), Some(country), Some(coord)) =
+                        (rec.city_id, rec.country, rec.coord)
+                    {
+                        seen.entry((city, country)).or_insert(coord);
+                    }
+                }
+                seen.into_iter()
+                    .map(|((city, country), coord)| {
+                        let name = interner.resolve(city).expect("interned city id");
+                        ((name.to_string(), country), coord)
+                    })
+                    .collect::<CityTable>()
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut per_db_cities: Vec<CityTable> = vec![HashMap::new(); dbs.len()];
+    for tables in shards {
+        for (merged, table) in per_db_cities.iter_mut().zip(tables) {
+            for (key, coord) in table {
+                merged.entry(key).or_insert(coord);
             }
-            let (Some(city), Some(country), Some(coord)) =
-                (rec.city.clone(), rec.country, rec.coord)
-            else {
-                continue;
-            };
-            per_db_cities[i].entry((city, country)).or_insert(coord);
         }
     }
 
@@ -134,7 +161,7 @@ mod tests {
             .collect();
         let gazetteer = Gazetteer::from_world(&w, 3, 3.0);
         let ips: Vec<Ipv4Addr> = w.interfaces.iter().step_by(3).map(|i| i.ip).collect();
-        let report = methodology_checks(&dbs, &gazetteer, &ips);
+        let report = methodology_checks(&dbs, &gazetteer, &ips, &Pool::new(2));
 
         assert_eq!(report.gazetteer_check.len(), 4);
         assert_eq!(report.cross_db_check.len(), 6);
@@ -155,11 +182,45 @@ mod tests {
     }
 
     #[test]
+    fn first_seen_coordinate_wins_across_shards() {
+        use routergeo_db::inmem::InMemoryDbBuilder;
+        use routergeo_db::{Granularity, LocationRecord};
+        let springfield = |lat: f64| LocationRecord {
+            country: Some("US".parse().unwrap()),
+            region: None,
+            city: Some("Springfield".into()),
+            coord: Some(Coordinate::new(lat, -90.0).unwrap()),
+            granularity: Granularity::Block24,
+        };
+        // `steady` puts the city at one place everywhere; `drifting` puts
+        // it there in the first shard's block and ~1,000 km north in the
+        // second shard's block.
+        let mut steady = InMemoryDbBuilder::new("steady");
+        steady.push_prefix("6.0.0.0/16".parse().unwrap(), springfield(40.0));
+        steady.push_prefix("7.0.0.0/24".parse().unwrap(), springfield(40.0));
+        let mut drifting = InMemoryDbBuilder::new("drifting");
+        drifting.push_prefix("6.0.0.0/16".parse().unwrap(), springfield(40.0));
+        drifting.push_prefix("7.0.0.0/24".parse().unwrap(), springfield(49.0));
+        let dbs = [steady.build().unwrap(), drifting.build().unwrap()];
+
+        let first_block = (0..SAMPLE_SHARD_SIZE as u32).map(|i| Ipv4Addr::from(0x0600_0000 + i));
+        let ips: Vec<Ipv4Addr> = first_block
+            .chain((1..10).map(|i| Ipv4Addr::new(7, 0, 0, i)))
+            .collect();
+        let gazetteer = Gazetteer::from_world(&World::generate(WorldConfig::tiny(213)), 3, 3.0);
+        for threads in [1, 2] {
+            let report = methodology_checks(&dbs, &gazetteer, &ips, &Pool::new(threads));
+            let want = vec![("steady".to_string(), "drifting".to_string(), 1, 1)];
+            assert_eq!(report.cross_db_check, want, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn empty_inputs_are_harmless() {
         let w = World::generate(WorldConfig::tiny(212));
         let gazetteer = Gazetteer::from_world(&w, 3, 3.0);
         let dbs: Vec<routergeo_db::InMemoryDb> = vec![];
-        let report = methodology_checks(&dbs, &gazetteer, &[]);
+        let report = methodology_checks(&dbs, &gazetteer, &[], &Pool::new(2));
         assert!(report.gazetteer_check.is_empty());
         assert_eq!(report.min_gazetteer_agreement(), 1.0);
     }

@@ -7,9 +7,10 @@
 //! in [`routergeo_rtt::QaReport`]; this module adds the cross-dataset
 //! agreement computation used by both sections.
 
-use crate::groundtruth::{GroundTruth, GtMethod};
+use crate::groundtruth::{GroundTruth, GtEntry, GtMethod};
 use routergeo_dns::{ChurnConfig, ChurnModel, ChurnOutcome, RuleEngine};
 use routergeo_geo::stats::ratio;
+use routergeo_pool::Pool;
 use routergeo_rtt::RttProximityDataset;
 use routergeo_world::World;
 use std::collections::HashMap;
@@ -122,43 +123,64 @@ impl ChurnStats {
     pub fn moved_fraction(&self) -> f64 {
         ratio(self.changed_moved, self.total)
     }
+
+    /// Tally one evolved hostname of a DNS-based ground-truth entry.
+    fn tally(&mut self, world: &World, engine: &RuleEngine, e: &GtEntry, outcome: ChurnOutcome) {
+        self.total += 1;
+        match outcome {
+            ChurnOutcome::Same(_) => self.same += 1,
+            ChurnOutcome::Gone => self.gone += 1,
+            // Confirm the new name with the rules, as the paper does.
+            ChurnOutcome::RenamedSameLocation(name) | ChurnOutcome::Moved(name, _) => {
+                match engine.decode(&name) {
+                    Some(city) if world.city(city).coord == e.coord => {
+                        self.changed_same_location += 1
+                    }
+                    Some(_) => self.changed_moved += 1,
+                    None => self.changed_hint_lost += 1,
+                }
+            }
+            ChurnOutcome::HintLost(_) => self.changed_hint_lost += 1,
+        }
+    }
+
+    fn absorb(&mut self, part: &ChurnStats) {
+        self.total += part.total;
+        self.same += part.same;
+        self.changed_same_location += part.changed_same_location;
+        self.changed_moved += part.changed_moved;
+        self.changed_hint_lost += part.changed_hint_lost;
+        self.gone += part.gone;
+    }
 }
+
+/// Ground-truth entries per shard of the churn pass. Fixed, never
+/// derived from the thread count.
+const CHURN_SHARD_SIZE: usize = 1024;
 
 /// Apply the churn model to every DNS-based ground-truth address and
 /// verify the new hostnames against the rules, tallying §3.1's outcomes.
+/// Shards of the entries run on `pool`; their tallies are summed.
 pub fn churn_stats(
     world: &World,
     engine: &RuleEngine,
     gt: &GroundTruth,
     config: ChurnConfig,
+    pool: &Pool,
 ) -> ChurnStats {
     let model = ChurnModel::new(world, config);
+    let dns: Vec<&GtEntry> = gt.of_method(GtMethod::DnsBased).collect();
     let mut stats = ChurnStats::default();
-    for e in gt.of_method(GtMethod::DnsBased) {
-        let Some(iface) = world.find_interface(e.ip) else {
-            continue;
-        };
-        stats.total += 1;
-        match model.evolve(iface) {
-            ChurnOutcome::Same(_) => stats.same += 1,
-            ChurnOutcome::Gone => stats.gone += 1,
-            ChurnOutcome::RenamedSameLocation(name) => {
-                // Confirm with the rules, as the paper does.
-                match engine.decode(&name) {
-                    Some(city) if world.city(city).coord == e.coord => {
-                        stats.changed_same_location += 1
-                    }
-                    Some(_) => stats.changed_moved += 1,
-                    None => stats.changed_hint_lost += 1,
-                }
+    for part in pool.map_shards(0, &dns, CHURN_SHARD_SIZE, |_, chunk| {
+        let mut part = ChurnStats::default();
+        for e in chunk {
+            if let Some(iface) = world.find_interface(e.ip) {
+                part.tally(world, engine, e, model.evolve(iface));
             }
-            ChurnOutcome::Moved(name, _) => match engine.decode(&name) {
-                Some(city) if world.city(city).coord == e.coord => stats.changed_same_location += 1,
-                Some(_) => stats.changed_moved += 1,
-                None => stats.changed_hint_lost += 1,
-            },
-            ChurnOutcome::HintLost(_) => stats.changed_hint_lost += 1,
         }
+        part
+    }) {
+        stats.absorb(&part);
     }
     stats
 }
@@ -205,7 +227,7 @@ mod tests {
         let whois = MappingService::build(&w);
         let dns = GroundTruth::dns_based(&w, &engine, &whois, 0.05);
         let gt = GroundTruth::combine(dns, vec![]);
-        let stats = churn_stats(&w, &engine, &gt, ChurnConfig::default());
+        let stats = churn_stats(&w, &engine, &gt, ChurnConfig::default(), &Pool::new(2));
         assert!(stats.total > 300, "need entries, got {}", stats.total);
         assert_eq!(
             stats.total,

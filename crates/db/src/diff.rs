@@ -6,7 +6,7 @@
 //! compare two snapshots of a database over an address set and classify
 //! every answer pair.
 
-use crate::GeoDatabase;
+use crate::{CompactRecord, GeoDatabase, LocationInterner};
 use routergeo_geo::stats::ratio;
 use routergeo_geo::{EmpiricalCdf, CITY_RANGE_KM};
 use std::net::Ipv4Addr;
@@ -30,7 +30,7 @@ pub enum AnswerChange {
 }
 
 /// Drift report between two snapshots of one database.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiffReport {
     /// Name of the (old) database.
     pub database: String,
@@ -66,14 +66,10 @@ impl DiffReport {
     }
 }
 
-/// Classify one address across two snapshots.
-pub fn classify<D1: GeoDatabase, D2: GeoDatabase>(
-    old: &D1,
-    new: &D2,
-    ip: Ipv4Addr,
-) -> (AnswerChange, Option<f64>) {
-    let a = old.lookup(ip);
-    let b = new.lookup(ip);
+/// Classify one address's answers in two snapshots. Both records must be
+/// interned into the same [`LocationInterner`], so that compact equality
+/// is record equality.
+pub fn classify(a: Option<CompactRecord>, b: Option<CompactRecord>) -> (AnswerChange, Option<f64>) {
     match (a, b) {
         (None, None) => (AnswerChange::Unchanged, None),
         (None, Some(_)) => (AnswerChange::Added, None),
@@ -103,9 +99,24 @@ pub fn diff_databases<D1: GeoDatabase, D2: GeoDatabase>(
     new: &D2,
     ips: &[Ipv4Addr],
 ) -> DiffReport {
+    let mut interner = LocationInterner::new();
+    let a = old.lookup_batch(ips, &mut interner);
+    let b = new.lookup_batch(ips, &mut interner);
+    diff_columns(old.name(), &a, &b)
+}
+
+/// Diff two answer columns row by row (`old[i]` against `new[i]`), both
+/// interned into one [`LocationInterner`] — e.g. two columns of one
+/// resolved view. `database` names the old snapshot in the report.
+pub fn diff_columns(
+    database: &str,
+    old: &[Option<CompactRecord>],
+    new: &[Option<CompactRecord>],
+) -> DiffReport {
+    assert_eq!(old.len(), new.len(), "diffed columns must align row by row");
     let mut report = DiffReport {
-        database: old.name().to_string(),
-        total: ips.len(),
+        database: database.to_string(),
+        total: old.len(),
         unchanged: 0,
         added: 0,
         removed: 0,
@@ -115,8 +126,8 @@ pub fn diff_databases<D1: GeoDatabase, D2: GeoDatabase>(
         move_cdf: EmpiricalCdf::from_iter_lossy(std::iter::empty()).0,
     };
     let mut moves = Vec::new();
-    for ip in ips {
-        let (change, moved) = classify(old, new, *ip);
+    for (a, b) in old.iter().zip(new) {
+        let (change, moved) = classify(*a, *b);
         if let Some(d) = moved {
             if d > 0.0 {
                 moves.push(d);
@@ -193,7 +204,12 @@ mod tests {
         let mut b = InMemoryDbBuilder::new("new");
         b.push_prefix("6.0.0.0/24".parse().unwrap(), rec("US", 40.1)); // ~11 km
         let b = b.build().unwrap();
-        let (change, moved) = classify(&a, &b, "6.0.0.1".parse().unwrap());
+        let ip = "6.0.0.1".parse().unwrap();
+        let mut interner = LocationInterner::new();
+        let (change, moved) = classify(
+            a.lookup_compact(ip, &mut interner),
+            b.lookup_compact(ip, &mut interner),
+        );
         assert_eq!(change, AnswerChange::MinorChange);
         assert!(moved.unwrap() < CITY_RANGE_KM);
     }

@@ -14,6 +14,7 @@
 
 use routergeo_geo::distance::destination;
 use routergeo_geo::{rtt_to_max_distance_km, Coordinate};
+use routergeo_pool::Pool;
 use routergeo_trace::TracerouteRecord;
 use routergeo_world::World;
 use std::collections::HashMap;
@@ -44,7 +45,7 @@ impl Constraint {
 }
 
 /// A CBG position estimate.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CbgEstimate {
     /// Estimated position.
     pub coord: Coordinate,
@@ -109,33 +110,53 @@ pub fn estimate(constraints: &[Constraint]) -> Option<CbgEstimate> {
     })
 }
 
+/// Traceroute records per shard when collecting constraints. Fixed,
+/// never derived from the thread count, so the shard plan — and with
+/// it the merge order — depends only on the record count.
+const RECORD_SHARD_SIZE: usize = 1024;
+
+/// Targets per shard when estimating positions. Each estimate is a
+/// pattern search, so small shards keep the workers evenly loaded.
+const TARGET_SHARD_SIZE: usize = 256;
+
 /// Collect per-target constraints from measurement records: every
 /// responding hop on a probe's traceroute yields a `(probe location, RTT)`
 /// constraint for that hop's address. Only router interfaces of the world
 /// are kept, and RTTs above `max_rtt_ms` are discarded (loose constraints
 /// add nothing but noise).
+///
+/// Shards of records run on `pool`; their `(address, constraint)` lists
+/// are merged in record order before the per-target stable sort, so ties
+/// in radius keep record order and the map is the same at any thread
+/// count.
 pub fn collect_constraints(
     world: &World,
     records: &[TracerouteRecord],
     max_rtt_ms: f64,
+    pool: &Pool,
 ) -> HashMap<Ipv4Addr, Vec<Constraint>> {
-    let mut out: HashMap<Ipv4Addr, Vec<Constraint>> = HashMap::new();
-    for rec in records {
-        let probe = &world.probes[rec.origin_id as usize];
-        for hop in &rec.hops {
-            let (Some(ip), Some(rtt)) = (hop.ip, hop.rtt_ms) else {
-                continue;
-            };
-            if rtt > max_rtt_ms || ip == rec.dst_ip {
-                continue;
+    let shards = pool.map_shards(0, records, RECORD_SHARD_SIZE, |_, chunk| {
+        let mut found = Vec::new();
+        for rec in chunk {
+            let probe = &world.probes[rec.origin_id as usize];
+            for hop in &rec.hops {
+                let (Some(ip), Some(rtt)) = (hop.ip, hop.rtt_ms) else {
+                    continue;
+                };
+                if rtt > max_rtt_ms || ip == rec.dst_ip {
+                    continue;
+                }
+                if world.find_interface(ip).is_none() {
+                    continue;
+                }
+                found.push((ip, Constraint::from_rtt(probe.registered_coord, rtt)));
             }
-            if world.find_interface(ip).is_none() {
-                continue;
-            }
-            out.entry(ip)
-                .or_default()
-                .push(Constraint::from_rtt(probe.registered_coord, rtt));
         }
+        found
+    });
+    let mut out: HashMap<Ipv4Addr, Vec<Constraint>> = HashMap::new();
+    for (ip, constraint) in shards.into_iter().flatten() {
+        out.entry(ip).or_default().push(constraint);
     }
     // Keep only the tightest few constraints per target: CBG's accuracy is
     // set by the nearest landmarks, and dozens of loose disks slow the
@@ -148,29 +169,34 @@ pub fn collect_constraints(
 }
 
 /// Geolocate every multi-landmark target and report the error CDF samples
-/// against the oracle.
+/// against the oracle, in address order. Targets are estimated in shards
+/// on `pool` and concatenated in shard order.
 pub fn evaluate_cbg(
     world: &World,
     records: &[TracerouteRecord],
     max_rtt_ms: f64,
     min_landmarks: usize,
+    pool: &Pool,
 ) -> Vec<(Ipv4Addr, CbgEstimate, f64)> {
-    let mut out = Vec::new();
-    for (ip, constraints) in collect_constraints(world, records, max_rtt_ms) {
-        if constraints.len() < min_landmarks {
-            continue;
-        }
-        let Some(est) = estimate(&constraints) else {
-            continue;
-        };
-        let Some(router) = world.router_of_ip(ip) else {
-            continue;
-        };
-        let err = est.coord.distance_km(&router.coord);
-        out.push((ip, est, err));
-    }
-    out.sort_by_key(|(ip, _, _)| *ip);
-    out
+    let mut targets: Vec<(Ipv4Addr, Vec<Constraint>)> =
+        collect_constraints(world, records, max_rtt_ms, pool)
+            .into_iter()
+            .filter(|(_, constraints)| constraints.len() >= min_landmarks)
+            .collect();
+    targets.sort_unstable_by_key(|(ip, _)| *ip);
+    pool.map_shards(0, &targets, TARGET_SHARD_SIZE, |_, chunk| {
+        chunk
+            .iter()
+            .filter_map(|(ip, constraints)| {
+                let est = estimate(constraints)?;
+                let router = world.router_of_ip(*ip)?;
+                Some((*ip, est, est.coord.distance_km(&router.coord)))
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]
@@ -227,6 +253,37 @@ mod tests {
     }
 
     #[test]
+    fn equal_radius_constraints_keep_record_order_across_shards() {
+        use routergeo_trace::Hop;
+        use routergeo_world::WorldConfig;
+        let w = World::generate(WorldConfig::tiny(402));
+        let target = w.interfaces[0].ip;
+        let first = w.probes[0].registered_coord;
+        let second = (1u32..)
+            .find(|&p| w.probes[p as usize].registered_coord != first)
+            .expect("two probes at different places");
+        let record = |origin_id: u32, hops: Vec<Hop>| TracerouteRecord {
+            origin_id,
+            src_ip: Ipv4Addr::UNSPECIFIED,
+            dst_ip: Ipv4Addr::new(192, 0, 2, 1),
+            hops,
+            reached: false,
+        };
+        // The same RTT to the target from two probes, in the first
+        // record of the first and of the second shard: equal radii, so
+        // only record order can rank them.
+        let mut records: Vec<_> = (0..=RECORD_SHARD_SIZE).map(|_| record(0, vec![])).collect();
+        records[0] = record(0, vec![Hop::reply(1, target, 3.0)]);
+        records[RECORD_SHARD_SIZE] = record(second, vec![Hop::reply(1, target, 3.0)]);
+        for threads in [1, 2] {
+            let map = collect_constraints(&w, &records, 20.0, &Pool::new(threads));
+            let at: Vec<Coordinate> = map[&target].iter().map(|c| c.at).collect();
+            let want = [first, w.probes[second as usize].registered_coord];
+            assert_eq!(at, want, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn end_to_end_cbg_beats_loose_guessing() {
         use routergeo_trace::{AtlasBuiltins, AtlasConfig, Topology};
         use routergeo_world::{World, WorldConfig};
@@ -242,7 +299,7 @@ mod tests {
             },
         )
         .run();
-        let results = evaluate_cbg(&w, &records, 10.0, 2);
+        let results = evaluate_cbg(&w, &records, 10.0, 2, &Pool::new(2));
         assert!(results.len() > 30, "too few CBG targets: {}", results.len());
         let within_conf = results
             .iter()

@@ -7,6 +7,7 @@
 //! ```
 
 use routergeo::dns::{infer_rules, InferenceConfig};
+use routergeo::pool::Pool;
 use routergeo::rtt::cbg;
 use routergeo::trace::{wire, AtlasBuiltins, AtlasConfig, Topology};
 use routergeo::world::{World, WorldConfig};
@@ -29,7 +30,7 @@ fn main() {
     );
 
     // 2. Delay-based geolocation: use the probes as CBG landmarks.
-    let results = cbg::evaluate_cbg(&world, &replayed, 20.0, 2);
+    let results = cbg::evaluate_cbg(&world, &replayed, 20.0, 2, &Pool::from_env());
     let mut errs: Vec<f64> = results.iter().map(|(_, _, e)| *e).collect();
     errs.sort_by(f64::total_cmp);
     if !errs.is_empty() {

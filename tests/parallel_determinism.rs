@@ -8,8 +8,9 @@ use routergeo::world::Scale;
 use routergeo_bench::{experiments as exp, Lab, LabConfig};
 
 /// Render every parallelised artifact — Table 1, coverage, consistency
-/// (with the Figure 1 CDFs), and the full accuracy report — into one
-/// string for byte comparison.
+/// (with the Figure 1 CDFs), the full accuracy report, and the experiment
+/// tail (ARIN, validation, methodology, majority, endpoints, CBG, HLOC,
+/// temporal) — into one string for byte comparison.
 fn full_report(threads: usize) -> String {
     let mut config = LabConfig::new(20_170_301, Scale::Tiny);
     config.threads = Some(threads);
@@ -29,6 +30,18 @@ fn full_report(threads: usize) -> String {
     for t in &tables {
         out.push_str(&t.render());
     }
+    out.push_str(&exp::arin(&lab).1.render());
+    for t in &exp::validation(&lab).2 {
+        out.push_str(&t.render());
+    }
+    out.push_str(&exp::methodology(&lab).1.render());
+    out.push_str(&exp::majority(&lab).render());
+    out.push_str(&exp::endpoints(&lab).render());
+    out.push_str(&exp::cbg(&lab).render());
+    out.push_str(&exp::hloc(&lab).render());
+    let (drift, acc) = exp::temporal(&lab);
+    out.push_str(&drift.render());
+    out.push_str(&acc.render());
     out
 }
 
