@@ -13,68 +13,44 @@
 //! server: 1012 | 31.0.0.9 | 31.0.0.0/24 | DE | ripencc
 //! ```
 //!
-//! Connections are served by a **bounded worker pool** fed through a
-//! bounded queue: when both are saturated the server answers
-//! `Error: busy` and closes instead of spawning without limit, so load
+//! Connections run on the shared bounded server
+//! ([`routergeo_faultnet::server`]): a fixed worker pool behind a
+//! bounded queue. When both are saturated the server answers
+//! `Error: busy` and closes instead of queueing without limit, so load
 //! shedding is explicit and clients can back off. Every connection
 //! carries read/write deadlines — a client that sends `begin` and then
 //! stalls is dropped when its read deadline fires, it cannot pin a
-//! worker forever. [`WhoisServer::shutdown`] drains in flight
+//! worker forever. [`WhoisServer::shutdown`] drains in-flight
 //! connections (bounded wait) and reports how many leaked.
 
 use crate::client::{read_line_bounded, LineRead, MAX_LINE};
 use crate::MappingService;
+use routergeo_faultnet::server::{close_gently, Server, DRAIN_BUDGET};
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
+
+pub use routergeo_faultnet::server::ServerConfig;
 
 /// Maximum addresses accepted per bulk request (protocol hygiene: a
 /// misbehaving client cannot hold a worker forever).
 pub const MAX_BULK: usize = 100_000;
 
-/// Worker-pool sizing and per-connection deadlines.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Worker threads serving connections.
-    pub max_workers: usize,
-    /// Accepted connections that may wait for a worker; beyond this the
-    /// server sheds load with `Error: busy`.
-    pub queue_depth: usize,
-    /// Per-connection read deadline (per line, not per request).
-    pub read_timeout: Duration,
-    /// Per-connection write deadline.
-    pub write_timeout: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            max_workers: 16,
-            queue_depth: 32,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Handle to a running whois server.
+/// Handle to a running whois server. Dropping it shuts it down.
 pub struct WhoisServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    server: Server,
 }
 
 impl WhoisServer {
     /// Bind to `127.0.0.1:0` (ephemeral port) and serve the given
-    /// mapping with [`ServerConfig::default`] pool sizing.
+    /// mapping with 16 workers behind a 32-deep queue.
     pub fn spawn(service: Arc<MappingService>) -> std::io::Result<WhoisServer> {
-        WhoisServer::spawn_with(service, ServerConfig::default())
+        let config = ServerConfig {
+            workers: 16,
+            queue_depth: 32,
+            ..ServerConfig::default()
+        };
+        WhoisServer::spawn_with(service, config)
     }
 
     /// Bind to `127.0.0.1:0` and serve with explicit pool sizing and
@@ -84,176 +60,28 @@ impl WhoisServer {
         service: Arc<MappingService>,
         config: ServerConfig,
     ) -> std::io::Result<WhoisServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers: Vec<JoinHandle<()>> = (0..config.max_workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let svc = Arc::clone(&service);
-                let counter = Arc::clone(&active);
-                let config = config.clone();
-                // xtask-allow: RG007 long-lived I/O workers, not data-parallel fan-out
-                std::thread::spawn(move || worker_loop(&rx, &svc, &counter, &config))
-            })
-            .collect();
-
-        let stop2 = Arc::clone(&stop);
-        let active2 = Arc::clone(&active);
-        let write_timeout = config.write_timeout;
-        // xtask-allow: RG007 accept loop must outlive this call; pool shards are scoped
-        let accept_thread = std::thread::spawn(move || {
-            // `tx` lives in this closure: when the accept loop exits the
-            // sender drops, workers see `recv` fail and drain out.
-            for conn in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                active2.fetch_add(1, Ordering::SeqCst);
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) | Err(TrySendError::Disconnected(stream)) => {
-                        // Pool and queue saturated: shed load explicitly
-                        // rather than queueing without bound.
-                        reject_busy(stream, write_timeout);
-                        active2.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-            }
-        });
-        Ok(WhoisServer {
-            addr,
-            stop,
-            active,
-            accept_thread: Some(accept_thread),
-            workers,
-        })
+        let server = Server::spawn(
+            &config,
+            move |stream, _stop| handle_connection(stream, &service),
+            |stream| stream.write_all(b"Error: busy\n"),
+        )?;
+        Ok(WhoisServer { server })
     }
 
     /// The bound address to connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
-    /// Stop accepting, drain in-flight connections (bounded wait), and
-    /// join the pool. Returns the number of connections still active
-    /// when the drain deadline expired — 0 on a clean shutdown.
+    /// Stop accepting and wait about 1 s at most for in-flight
+    /// connections. Returns the number still active after that — 0 on
+    /// a clean shutdown; their workers are left to finish on their own.
     pub fn shutdown(&mut self) -> usize {
-        if self.accept_thread.is_none() {
-            return 0;
-        }
-        self.stop.store(true, Ordering::SeqCst);
-        // Nudge the blocking accept (deadline-bounded like every other
-        // connect in the workspace).
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        // Drain in-flight connections (bounded wait).
-        let mut leaked = self.active.load(Ordering::SeqCst);
-        for _ in 0..200 {
-            if leaked == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-            leaked = self.active.load(Ordering::SeqCst);
-        }
-        if leaked == 0 {
-            // The sender dropped with the accept thread, so idle workers
-            // exit as soon as the queue is empty.
-            for w in self.workers.drain(..) {
-                let _ = w.join();
-            }
-        } else {
-            // Leaked connections still hold workers; detach rather than
-            // hang the caller, and report the leak.
-            self.workers.clear();
-        }
-        leaked
+        self.server.shutdown()
     }
 }
 
-impl Drop for WhoisServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Answer `Error: busy` (deadline-bounded) and close.
-fn reject_busy(stream: TcpStream, write_timeout: Duration) {
-    // Bound the whole rejection so a stalling client cannot wedge the
-    // accept loop.
-    let deadline = write_timeout.min(Duration::from_secs(1));
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(deadline));
-    let _ = stream.set_read_timeout(Some(deadline));
-    let _ = stream.write_all(b"Error: busy\n");
-    // Drain the client's request before closing: closing with unread
-    // bytes in the receive buffer makes the kernel answer with RST,
-    // which can destroy the busy line in flight.
-    let mut sink = [0u8; 512];
-    loop {
-        match std::io::Read::read(&mut stream, &mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-}
-
-/// Pool worker: serve queued connections until the sender drops.
-fn worker_loop(
-    rx: &Arc<Mutex<Receiver<TcpStream>>>,
-    service: &MappingService,
-    active: &AtomicUsize,
-    config: &ServerConfig,
-) {
-    loop {
-        let conn = {
-            let Ok(guard) = rx.lock() else { return };
-            // xtask-allow: RG011 the workers share one Receiver; blocking in recv with the dispatch lock held IS the handoff protocol
-            guard.recv()
-        };
-        let Ok(stream) = conn else { return };
-        // A failed connection is the client's problem; the worker keeps
-        // serving.
-        // xtask-allow: RG012 per-connection I/O errors are expected churn; the worker loop must outlive them
-        let _ = handle_connection(stream, service, config);
-        active.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Read and discard the rest of a shed client's request, up to a fixed
-/// cap — closing with unread bytes in the receive buffer makes the
-/// kernel answer RST, which can destroy the error line in flight. The
-/// cap keeps a truly endless client from pinning the worker; past it
-/// the RST is accepted as the lesser evil.
-fn drain_bounded<R: std::io::Read>(r: &mut R) {
-    const DRAIN_CAP: usize = 1 << 20;
-    let mut sink = [0u8; 4096];
-    let mut seen = 0usize;
-    while seen < DRAIN_CAP {
-        match r.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => seen += n,
-        }
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    service: &MappingService,
-    config: &ServerConfig,
-) -> std::io::Result<()> {
-    // Deadlines first: a stalled client is dropped when the next line
-    // read exceeds `read_timeout`, freeing the worker.
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    stream.set_write_timeout(Some(config.write_timeout))?;
+fn handle_connection(stream: TcpStream, service: &MappingService) -> std::io::Result<()> {
     let peer = stream.try_clone()?;
     let mut reader = BufReader::new(peer);
     let mut writer = BufWriter::new(stream);
@@ -269,7 +97,7 @@ fn handle_connection(
         LineRead::TooLong => {
             writeln!(writer, "Error: line exceeds {MAX_LINE} bytes")?;
             writer.flush()?;
-            drain_bounded(&mut reader);
+            close_gently(reader.get_mut(), DRAIN_BUDGET);
             return Ok(());
         }
     }
@@ -278,7 +106,10 @@ fn handle_connection(
         return writer.flush();
     }
 
+    // Flushed at once, so a client can see it has a worker before it
+    // sends its addresses.
     writeln!(writer, "Bulk mode; whois.routergeo.test [synthetic]")?;
+    writer.flush()?;
 
     let mut count = 0usize;
     loop {
@@ -287,7 +118,7 @@ fn handle_connection(
             LineRead::TooLong => {
                 writeln!(writer, "Error: line exceeds {MAX_LINE} bytes")?;
                 writer.flush()?;
-                drain_bounded(&mut reader);
+                close_gently(reader.get_mut(), DRAIN_BUDGET);
                 return Ok(());
             }
             LineRead::Line => {}
@@ -317,7 +148,8 @@ fn handle_connection(
 mod tests {
     use super::*;
     use routergeo_world::{World, WorldConfig};
-    use std::io::Read;
+    use std::io::{BufRead, Read};
+    use std::time::Duration;
 
     fn server() -> (World, WhoisServer) {
         let w = World::generate(WorldConfig::tiny(141));
@@ -413,15 +245,25 @@ mod tests {
             let out = talk(srv.addr(), &req);
             assert!(out.contains(&ip.to_string()));
         }
-        // All workers drained shortly after the last connection closes.
-        for _ in 0..200 {
-            if srv.active.load(Ordering::SeqCst) == 0 {
+        // All workers drain within shutdown's bounded wait once the last
+        // connection closes.
+        assert_eq!(srv.shutdown(), 0);
+    }
+
+    /// Send `request` until the answer is not `Error: busy`, at most 100
+    /// times. With a rendezvous queue the server hands a connection off
+    /// only to a worker already waiting in `recv`, which it may not be
+    /// yet right after spawn or after finishing a connection.
+    fn talk_until_served(addr: SocketAddr, request: &str) -> String {
+        let mut out = String::new();
+        for _ in 0..100 {
+            out = talk(addr, request);
+            if !out.starts_with("Error: busy") {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(srv.active.load(Ordering::SeqCst), 0);
-        assert_eq!(srv.shutdown(), 0);
+        out
     }
 
     #[test]
@@ -431,28 +273,39 @@ mod tests {
         // One worker, rendezvous queue: a single held connection
         // saturates the server.
         let config = ServerConfig {
-            max_workers: 1,
+            workers: 1,
             queue_depth: 0,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
+            ..ServerConfig::default()
         };
         let mut srv = WhoisServer::spawn_with(svc, config).expect("bind");
 
-        // Hold the only worker: send `begin` and stall mid-request.
-        let mut held = TcpStream::connect(srv.addr()).unwrap();
-        held.write_all(b"begin\n").unwrap();
-        // Let the worker dequeue the held connection.
-        std::thread::sleep(Duration::from_millis(100));
+        // Hold the only worker: send `begin` and stall mid-request. The
+        // banner proves the worker has the connection.
+        let mut held = None;
+        for _ in 0..100 {
+            let mut s = BufReader::new(TcpStream::connect(srv.addr()).unwrap());
+            s.get_mut().write_all(b"begin\n").unwrap();
+            let mut banner = String::new();
+            s.read_line(&mut banner).unwrap();
+            if banner.starts_with("Bulk mode;") {
+                held = Some(s);
+                break;
+            }
+            assert!(banner.starts_with("Error: busy"), "{banner}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let mut held = held.expect("the worker takes a connection");
 
         let ip = w.interfaces[0].ip;
         let out = talk(srv.addr(), &format!("begin\n{ip}\nend\n"));
         assert!(out.starts_with("Error: busy"), "{out}");
 
-        // Release the worker; the next request is served normally.
-        held.write_all(b"end\n").unwrap();
-        drop(held);
-        std::thread::sleep(Duration::from_millis(50));
-        let out = talk(srv.addr(), &format!("begin\n{ip}\nend\n"));
+        // Release the worker; once it has closed the held connection the
+        // next request is served normally.
+        held.get_mut().write_all(b"end\n").unwrap();
+        let mut rest = String::new();
+        held.read_to_string(&mut rest).unwrap();
+        let out = talk_until_served(srv.addr(), &format!("begin\n{ip}\nend\n"));
         assert!(out.contains(&ip.to_string()), "{out}");
         assert_eq!(srv.shutdown(), 0);
     }

@@ -1,12 +1,15 @@
 //! The lookup daemon: bounded worker pool over hot-swappable RGDB
 //! generations.
 //!
-//! The concurrency discipline is the bulk-whois server's, transplanted:
-//! an accept thread `try_send`s connections into a bounded
-//! `sync_channel`; overflow is an **explicit load shed** (one `BUSY`
-//! frame, then a gentle close) rather than an unbounded backlog; every
-//! connection carries read/write deadlines so a stalled peer can wedge
-//! at most one worker for a bounded time.
+//! Connections run on the bounded server the bulk-whois server also
+//! uses ([`routergeo_faultnet::server`]): an accept thread hands them to
+//! a fixed worker pool through a bounded queue; overflow is an
+//! **explicit load shed** (one `BUSY` frame, then a gentle close) rather
+//! than an unbounded backlog; every connection carries read/write
+//! deadlines so a stalled peer can wedge at most one worker for a
+//! bounded time. This module supplies only the per-connection handler
+//! (RGDB frames with generation pinning) and the `BUSY` reply with its
+//! `serve.shed` accounting.
 //!
 //! Generations: the live database is an `Arc<Generation>` behind an
 //! `RwLock`. Lookups clone the `Arc` under a read lock held for
@@ -21,45 +24,18 @@ use crate::protocol::{self, ProtoError, Request, Response};
 use bytes::Bytes;
 use routergeo_db::rgdb2::{Rgdb2Reader, RgdbError};
 use routergeo_db::FileImage;
+use routergeo_faultnet::server::{close_gently, Server, DRAIN_BUDGET, DRAIN_POLL, DRAIN_POLLS_MAX};
 use std::fmt;
-use std::io::{Read, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write as _;
+use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
-/// Tuning knobs for [`ServeDaemon::spawn_with`].
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Worker threads handling connections.
-    pub workers: usize,
-    /// Bounded handoff queue depth; overflow is shed as `BUSY`.
-    pub queue_depth: usize,
-    /// Per-connection read deadline.
-    pub read_timeout: Duration,
-    /// Per-connection write deadline.
-    pub write_timeout: Duration,
-    /// Sleep between drain polls (swap and shutdown).
-    pub drain_poll: Duration,
-    /// Maximum drain polls before giving up.
-    pub drain_polls_max: u32,
-}
-
-impl Default for ServeConfig {
-    fn default() -> ServeConfig {
-        ServeConfig {
-            workers: 4,
-            queue_depth: 16,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            drain_poll: Duration::from_millis(2),
-            drain_polls_max: 500,
-        }
-    }
-}
+/// Tuning knobs for [`ServeDaemon::spawn_with`]: worker count, queue
+/// depth and socket deadlines. The default (4 workers, queue depth 16,
+/// 5 s deadlines) is the daemon's.
+pub use routergeo_faultnet::server::ServerConfig as ServeConfig;
 
 /// One immutable database generation: a validated RGDB reader plus the
 /// monotonically increasing id responses carry.
@@ -166,9 +142,6 @@ struct Shared {
     current: RwLock<Arc<Generation>>,
     next_gen: AtomicU32,
     stats: AtomicStats,
-    stop: AtomicBool,
-    active: AtomicUsize,
-    config: ServeConfig,
 }
 
 impl Shared {
@@ -195,15 +168,22 @@ impl Shared {
         self.stats.malformed.fetch_add(1, Ordering::Relaxed);
         routergeo_obs::counter("serve.malformed").incr();
     }
+
+    /// Account one connection shed at accept and answer it `BUSY`.
+    fn shed(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+        self.count_request();
+        self.stats.shed.fetch_add(1, Ordering::Relaxed);
+        routergeo_obs::counter("serve.shed").incr();
+        protocol::write_frame(stream, &protocol::encode_response(&Response::Busy))
+    }
 }
 
-/// Handle to a running daemon. Dropping without [`ServeDaemon::shutdown`]
-/// aborts the accept loop but does not wait for workers.
+/// Handle to a running daemon. Dropping it runs
+/// [`ServeDaemon::shutdown`]: it waits about 1 s at most, then leaves
+/// workers still serving a connection to finish on their own.
 pub struct ServeDaemon {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    server: Server,
 }
 
 impl ServeDaemon {
@@ -224,52 +204,24 @@ impl ServeDaemon {
     pub fn spawn_with(image: Bytes, config: ServeConfig) -> Result<ServeDaemon, ServeError> {
         let reader = Rgdb2Reader::open(image)?;
         let generation = Arc::new(Generation { id: 1, reader });
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             current: RwLock::new(generation),
             next_gen: AtomicU32::new(2),
             stats: AtomicStats::default(),
-            stop: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            config: config.clone(),
         });
-        let (tx, rx) = sync_channel::<TcpStream>(config.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                // xtask-allow: RG007 long-lived I/O workers, not data-parallel fan-out
-                std::thread::spawn(move || worker_loop(&rx, &shared))
-            })
-            .collect();
-        let shared2 = Arc::clone(&shared);
-        // xtask-allow: RG007 accept loop must outlive this call; pool shards are scoped
-        let accept = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if shared2.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => shed(stream, &shared2),
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-        });
-        Ok(ServeDaemon {
-            addr,
-            shared,
-            accept: Some(accept),
-            workers,
-        })
+        let handler_shared = Arc::clone(&shared);
+        let busy_shared = Arc::clone(&shared);
+        let server = Server::spawn(
+            &config,
+            move |stream, stop| handle_connection(stream, &handler_shared, stop),
+            move |stream| busy_shared.shed(stream),
+        )?;
+        Ok(ServeDaemon { shared, server })
     }
 
     /// The daemon's listening address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Id of the generation currently serving.
@@ -312,8 +264,8 @@ impl ServeDaemon {
         self.shared.stats.swaps.fetch_add(1, Ordering::Relaxed);
         routergeo_obs::counter("serve.swaps").incr();
         let mut polls = 0u32;
-        while Arc::strong_count(&old) > 1 && polls < self.shared.config.drain_polls_max {
-            std::thread::sleep(self.shared.config.drain_poll);
+        while Arc::strong_count(&old) > 1 && polls < DRAIN_POLLS_MAX {
+            std::thread::sleep(DRAIN_POLL);
             polls += 1;
         }
         Ok(SwapReport {
@@ -332,88 +284,11 @@ impl ServeDaemon {
         self.hot_swap(FileImage::load(path)?.into_bytes())
     }
 
-    /// Stop accepting, join workers, and report connections still active
-    /// after the bounded drain (0 in a healthy shutdown).
+    /// Stop accepting and drain in-flight connections for at most about
+    /// 1 s. Returns the connections still active after that (0 in a
+    /// healthy shutdown); their workers are left to finish on their own.
     pub fn shutdown(&mut self) -> usize {
-        if self.accept.is_none() {
-            return 0;
-        }
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Nudge the blocked accept() so the loop observes `stop`.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        // The accept thread owned the only sender; workers drain the
-        // queue then see Disconnected and exit.
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
-        let mut polls = 0u32;
-        while self.shared.active.load(Ordering::SeqCst) > 0
-            && polls < self.shared.config.drain_polls_max
-        {
-            std::thread::sleep(self.shared.config.drain_poll);
-            polls += 1;
-        }
-        self.shared.active.load(Ordering::SeqCst)
-    }
-}
-
-impl Drop for ServeDaemon {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Arc<Shared>) {
-    loop {
-        let stream = {
-            let guard = match rx.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            // xtask-allow: RG011 the workers share one Receiver; blocking in recv with the dispatch lock held IS the handoff protocol
-            match guard.recv() {
-                Ok(stream) => stream,
-                Err(_) => return,
-            }
-        };
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        // xtask-allow: RG012 per-connection I/O errors are expected churn; the worker loop must outlive them
-        let _ = handle_connection(stream, shared);
-        shared.active.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Shed one connection at accept: one `BUSY` frame, gentle close. The
-/// whole rejection is deadline-bounded so a stalling client cannot
-/// wedge the accept loop.
-fn shed(mut stream: TcpStream, shared: &Shared) {
-    shared.count_request();
-    shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-    routergeo_obs::counter("serve.shed").incr();
-    let deadline = shared.config.write_timeout.min(Duration::from_secs(1));
-    let _ = stream.set_write_timeout(Some(deadline));
-    let _ = stream.set_read_timeout(Some(deadline));
-    let _ = protocol::write_frame(&mut stream, &protocol::encode_response(&Response::Busy));
-    // Drain before closing: closing with unread bytes in the receive
-    // buffer makes the kernel answer with RST, which can destroy the
-    // BUSY frame in flight.
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    drain_bounded(&mut stream);
-}
-
-/// Swallow at most 1 MiB of a peer's pending bytes so close does not RST.
-fn drain_bounded<R: Read>(r: &mut R) {
-    const DRAIN_CAP: usize = 1 << 20;
-    let mut sink = [0u8; 4096];
-    let mut seen = 0usize;
-    while seen < DRAIN_CAP {
-        match r.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => seen += n,
-        }
+        self.server.shutdown()
     }
 }
 
@@ -426,14 +301,16 @@ fn framing_reason(err: &ProtoError) -> &'static str {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(shared.config.read_timeout))?;
-    stream.set_write_timeout(Some(shared.config.write_timeout))?;
+fn handle_connection(
+    mut stream: TcpStream,
+    shared: &Shared,
+    stop: &AtomicBool,
+) -> std::io::Result<()> {
     // Responses are single small writes; without this, Nagle + delayed
     // ACK turns every round trip into ~40ms on loopback.
     stream.set_nodelay(true)?;
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
+        if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
         let body = match protocol::read_frame(&mut stream) {
@@ -448,8 +325,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<
                     reason: framing_reason(&err).to_string(),
                 };
                 let _ = protocol::write_frame(&mut stream, &protocol::encode_response(&resp));
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                drain_bounded(&mut stream);
+                close_gently(&mut stream, DRAIN_BUDGET);
                 return Ok(());
             }
         };
@@ -513,5 +389,99 @@ fn respond(body: &[u8], shared: &Shared) -> Response {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::corpus::Corpus;
+    use crate::live::ServeClient;
+    use std::time::{Duration, Instant};
+
+    /// A connection the daemon's only worker is serving, plus the number
+    /// of `BUSY` sheds it took to get one: with a rendezvous queue the
+    /// daemon sheds until the worker waits in `recv`.
+    fn hold_worker(daemon: &ServeDaemon) -> (ServeClient, u64) {
+        let mut sheds = 0;
+        loop {
+            let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+            match client.request(&Request::Generation) {
+                Ok(Response::GenerationInfo { .. }) => return (client, sheds),
+                Ok(Response::Busy) if sheds < 100 => sheds += 1,
+                other => panic!("no worker took the connection: {other:?}"),
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn saturated_daemon_sheds_with_busy_and_keeps_the_books() {
+        let corpus = Corpus::new(64);
+        let config = ServeConfig {
+            workers: 1,
+            queue_depth: 0,
+            ..ServeConfig::default()
+        };
+        let mut daemon = ServeDaemon::spawn_with(corpus.image_v21(1), config).expect("spawn");
+        let (held, startup_sheds) = hold_worker(&daemon);
+
+        let mut next = ServeClient::connect(daemon.addr()).expect("connect");
+        let answer = next.request(&Request::Lookup(corpus.hit_addr(0)));
+        assert!(matches!(answer, Ok(Response::Busy)), "{answer:?}");
+        drop(next);
+
+        let stats = daemon.stats();
+        assert_eq!(stats.shed, 1 + startup_sheds, "{stats:?}");
+        assert_eq!(
+            stats.requests,
+            stats.served + stats.shed + stats.malformed,
+            "{stats:?}"
+        );
+        drop(held);
+        assert_eq!(daemon.shutdown(), 0);
+    }
+
+    #[test]
+    fn shutdown_reports_a_silent_client_after_about_one_second() {
+        let corpus = Corpus::new(64);
+        let budget = DRAIN_POLL * DRAIN_POLLS_MAX;
+        // The worker checks the stop flag after each response, and no
+        // event a client can see marks the moment it has passed that
+        // check and blocked reading the next frame. When shutdown wins
+        // that race the worker closes the idle connection at once and
+        // shutdown reports 0 well inside the budget; try a fresh daemon.
+        for _ in 0..10 {
+            let mut daemon = ServeDaemon::spawn(corpus.image_v21(1)).expect("spawn");
+            let mut silent = ServeClient::connect(daemon.addr()).expect("connect");
+            let answer = silent.request(&Request::Generation);
+            assert!(
+                matches!(answer, Ok(Response::GenerationInfo { .. })),
+                "{answer:?}"
+            );
+
+            let started = Instant::now();
+            let still_active = daemon.shutdown();
+            let waited = started.elapsed();
+            if still_active == 0 && waited < budget {
+                continue;
+            }
+            assert_eq!(still_active, 1, "after {waited:?}");
+            assert!(waited >= budget, "{waited:?}");
+            assert!(waited < Duration::from_secs(3), "{waited:?}");
+            return;
+        }
+        panic!("the worker never blocked reading from the silent client");
+    }
+
+    #[test]
+    fn shutdown_after_clients_close_reports_zero() {
+        let corpus = Corpus::new(64);
+        let mut daemon = ServeDaemon::spawn(corpus.image_v21(1)).expect("spawn");
+        let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+        let answer = client.request(&Request::Lookup(corpus.hit_addr(0)));
+        assert!(matches!(answer, Ok(Response::Hit { .. })), "{answer:?}");
+        drop(client);
+        assert_eq!(daemon.shutdown(), 0);
     }
 }

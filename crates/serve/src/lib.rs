@@ -10,8 +10,9 @@
 //! * [`protocol`] — length-prefixed binary framing, request/response
 //!   bodies, and the bounded-read frame decoder;
 //! * [`daemon`] — [`ServeDaemon`]: bounded worker pool with explicit
-//!   load shed and per-connection deadlines (the bulk-whois server's
-//!   discipline), per-request latency histograms via `routergeo-obs`,
+//!   load shed and per-connection deadlines (the connection server it
+//!   shares with the bulk-whois server), per-request latency histograms
+//!   via `routergeo-obs`,
 //!   and [`ServeDaemon::hot_swap`] — open/validate release N+1 while N
 //!   serves, flip an `Arc` under an `RwLock`, drain old readers;
 //! * [`corpus`] — paired deterministic RGDB generations whose record

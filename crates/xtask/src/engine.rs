@@ -474,6 +474,11 @@ mod tests {
 
         let faultnet = rules_for("crates/faultnet/src/proxy.rs").expect("in scope");
         assert!(faultnet.rg001 && faultnet.rg006 && faultnet.rg007);
+        let server = rules_for("crates/faultnet/src/server.rs").expect("in scope");
+        assert!(
+            server.rg001 && server.rg006 && server.rg007,
+            "the shared connection server keeps its thread and socket waivers audited"
+        );
 
         let pool = rules_for("crates/pool/src/lib.rs").expect("in scope");
         assert!(pool.rg001 && !pool.rg007, "pool owns the threads");
