@@ -10,8 +10,10 @@
 //! the analyses use. It prints one JSON report to stdout (CI redirects
 //! it into `target/ci-artifacts/`) and, when `--budget-ms` is given,
 //! exits non-zero if the resolve stage alone exceeded the budget. The
-//! report carries `lookup_ns_per_addr` so `cargo xtask resolve-check`
-//! can ratio-gate per-lookup cost against the blessed baseline.
+//! report carries `lookup_ns_per_addr` and the process's own peak
+//! resident set (`peak_rss_mib`, from `VmHWM`) so `cargo xtask
+//! resolve-check` can ratio-gate per-lookup cost and memory against the
+//! blessed baseline.
 //!
 //! ```text
 //! usage: resolve_smoke [--budget-ms N]
@@ -125,6 +127,15 @@ fn probe_addresses(seed: u64, count: u64, prefixes: u64) -> Vec<Ipv4Addr> {
     out
 }
 
+/// This process's peak resident set in MiB (`VmHWM` in
+/// `/proc/self/status`), or `None` where the kernel does not report it.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u32 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(f64::from(kb) / 1024.0)
+}
+
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key)
         .ok()
@@ -228,6 +239,10 @@ fn main() {
     out.push_str(&format!("  \"resolve_wall_ms\": {resolve_ms:.3},\n"));
     out.push_str(&format!(
         "  \"lookup_ns_per_addr\": {lookup_ns_per_addr:.3},\n"
+    ));
+    out.push_str(&format!(
+        "  \"peak_rss_mib\": {},\n",
+        peak_rss_mib().map_or("null".to_string(), |mib| format!("{mib:.1}"))
     ));
     out.push_str(&format!(
         "  \"budget_ms\": {},\n",

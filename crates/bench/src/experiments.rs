@@ -795,8 +795,11 @@ pub(crate) fn cbg_db_errors(lab: &Lab, results: &[(Ipv4Addr, CbgEstimate, f64)])
             view.column(d)
                 .iter()
                 .zip(&routers)
-                .filter_map(|(rec, router)| {
-                    let rec = rec.filter(|r| r.has_city())?;
+                .filter_map(|(id, router)| {
+                    let rec = view.answer((*id)?);
+                    if !rec.has_city() {
+                        return None;
+                    }
                     Some(rec.coord.expect("city").distance_km(router))
                 })
                 .collect()
@@ -876,7 +879,7 @@ pub(crate) fn temporal_results(lab: &Lab) -> (Vec<DiffReport>, Vec<VendorAccurac
     let view = ResolvedView::build_with(&snapshots, &gt_ips, &lab.pool);
     let n = lab.dbs.len();
     let drifts = (0..n)
-        .map(|d| diff_columns(&view.databases()[d], view.column(d), view.column(n + d)))
+        .map(|d| diff_columns(&view.databases()[d], view.records(d), view.records(n + d)))
         .collect();
     (drifts, accuracy::overall_from_view(&view, &lab.gt))
 }

@@ -73,7 +73,7 @@ pub fn coverage_from_view(view: &ResolvedView, db: usize) -> CoverageReport {
         with_country: 0,
         with_city: 0,
     };
-    for rec in view.column(db).iter().flatten() {
+    for rec in view.column(db).iter().flatten().map(|&id| view.answer(id)) {
         report.with_record += 1;
         if rec.has_country() {
             report.with_country += 1;

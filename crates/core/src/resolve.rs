@@ -3,39 +3,54 @@
 //! Coverage, consistency, and accuracy all ask every database about the
 //! same address sets. Instead of re-querying per analysis, a
 //! [`ResolvedView`] resolves each (IP, database) pair exactly once into
-//! columnar struct-of-arrays storage: one `Vec<Option<CompactRecord>>`
-//! column per database, with region/city names interned into a shared
-//! [`LocationInterner`]. The analyses then tally over the flat columns
-//! without a single per-lookup allocation.
+//! columnar storage: one `Vec<Option<AnswerId>>` column per database,
+//! where an [`AnswerId`] is a 4-byte index into one table of distinct
+//! [`CompactRecord`]s, with region/city names interned into a shared
+//! [`LocationInterner`]. This is the shape of a MaxMind `.mmdb` data
+//! section: a record is stored once, however many addresses it answers.
+//! The analyses then tally over the flat columns without a single
+//! per-lookup allocation.
 //!
-//! Construction is sharded through `routergeo_pool`: each shard resolves
-//! its slice into a *local* interner and local column chunks, and the
-//! merge absorbs the locals in shard order, remapping symbol ids into
-//! the global table. Shard boundaries depend only on the input length,
-//! so the view — ids included — is byte-identical at any thread count.
+//! Construction runs in two steps:
+//!
+//! 1. **Locate**, sharded through `routergeo_pool`: each shard asks every
+//!    database for the record *index* of each of its addresses
+//!    ([`GeoDatabase::locate_batch`]). Nothing is decoded or interned,
+//!    so shards share no state and return 4 bytes per answer.
+//! 2. **Decode**, one ordered pass over the shard results: shards in
+//!    order, then databases, then rows. A dense `record index →
+//!    AnswerId` memo per database decodes each distinct record
+//!    ([`GeoDatabase::record_at`]) into the global interner at its first
+//!    sighting only.
+//!
+//! Shard boundaries depend only on the input length, and the decode
+//! order is fixed, so the view — answer ids and interner ids included —
+//! is byte-identical at any thread count.
 
-use routergeo_db::{CompactRecord, GeoDatabase, LocationInterner};
+use routergeo_db::{CompactRecord, GeoDatabase, LocationInterner, RecordMemo};
 use routergeo_pool::Pool;
 use std::net::Ipv4Addr;
+
+pub use routergeo_db::AnswerId;
 
 /// Addresses per shard for the parallel resolvers and evaluators in
 /// this crate. Lookups draw no randomness, so the shard seed is
 /// irrelevant; the size is fixed (never thread-derived) to keep merge
 /// order stable. Sized so the batched readers amortize their
-/// per-chunk work (sort, dense memo tables) over many addresses —
-/// each distinct record decodes once per shard, so bigger shards mean
-/// strictly fewer decodes — while still splitting paper-scale inputs
-/// into ~90 shards, plenty of parallelism for any realistic pool.
+/// per-chunk work (sort, root-table seeding, frontier walk) over many
+/// addresses while still splitting paper-scale inputs into ~90 shards,
+/// plenty of parallelism for any realistic pool.
 pub(crate) const LOOKUP_SHARD_SIZE: usize = 16384;
 
 /// Columnar resolve-once answers: `column(db)[i]` is database `db`'s
-/// compact answer for the `i`-th input address.
+/// answer id for the `i`-th input address.
 #[derive(Debug, PartialEq)]
 pub struct ResolvedView {
     databases: Vec<String>,
     total: usize,
     interner: LocationInterner,
-    columns: Vec<Vec<Option<CompactRecord>>>,
+    answers: Vec<CompactRecord>,
+    columns: Vec<Vec<Option<AnswerId>>>,
 }
 
 impl ResolvedView {
@@ -45,10 +60,10 @@ impl ResolvedView {
         ResolvedView::build_with(dbs, ips, &Pool::from_env())
     }
 
-    /// [`ResolvedView::build`] on an explicit pool: shards resolve into
-    /// local interners and column chunks, merged in shard order with
-    /// symbol-id remapping, so the view is identical at every thread
-    /// count.
+    /// [`ResolvedView::build`] on an explicit pool: shards locate record
+    /// indices in parallel, then one pass in shard → database → row
+    /// order decodes each distinct record once, so the view is
+    /// identical at every thread count.
     pub fn build_with<D: GeoDatabase + Sync>(
         dbs: &[D],
         ips: &[Ipv4Addr],
@@ -64,69 +79,56 @@ impl ResolvedView {
         let c_misses = routergeo_obs::counter("resolve.misses");
         let c_strings = routergeo_obs::counter("resolve.interner_strings");
         let c_refs = routergeo_obs::counter("resolve.interner_refs");
+        let c_answers = routergeo_obs::counter("resolve.answers");
 
+        let shards = pool.map_shards(0, ips, LOOKUP_SHARD_SIZE, |_, chunk| {
+            let _span = routergeo_obs::span!("resolve.locate", addresses = chunk.len());
+            dbs.iter()
+                .map(|db| db.locate_batch(chunk))
+                .collect::<Vec<_>>()
+        });
+
+        let decode_span = routergeo_obs::span!("resolve.decode", shards = shards.len());
         let mut interner = LocationInterner::new();
-        let mut columns: Vec<Vec<Option<CompactRecord>>> = vec![Vec::with_capacity(ips.len()); n];
+        let mut answers: Vec<CompactRecord> = Vec::new();
+        let mut columns: Vec<Vec<Option<AnswerId>>> =
+            (0..n).map(|_| Vec::with_capacity(ips.len())).collect();
+        let mut memos: Vec<RecordMemo> = dbs
+            .iter()
+            .map(|db| RecordMemo::new(db.record_count()))
+            .collect();
         let mut hits = 0u64;
-        let mut refs = 0u64;
-        if pool.threads() <= 1 {
-            // Serial fast path: resolve chunk-major straight into the
-            // global interner. First-seen order is exactly the order the
-            // sharded merge below replays, so ids — and therefore the
-            // whole view — are bit-identical to the threaded build, with
-            // none of the local-table absorb/remap machinery. Going
-            // through `for_each_shard` keeps the pool's shard counters
-            // and spans identical to the threaded plan.
-            pool.for_each_shard(0, ips, LOOKUP_SHARD_SIZE, |_, chunk| {
-                for (column, db) in columns.iter_mut().zip(dbs) {
-                    let part = db.lookup_batch(chunk, &mut interner);
-                    hits += part.iter().filter(|r| r.is_some()).count() as u64;
-                    column.extend(part);
-                }
-            });
-            refs = interner.ref_count();
-        } else {
-            let shards = pool.map_shards(0, ips, LOOKUP_SHARD_SIZE, |_, chunk| {
-                let mut local = LocationInterner::new();
-                let mut cols: Vec<Vec<Option<CompactRecord>>> =
-                    vec![Vec::with_capacity(chunk.len()); n];
-                for (col, db) in cols.iter_mut().zip(dbs) {
-                    // Batched resolve: backends exploit the whole-chunk
-                    // view (sorted range/trie sweeps, per-record
-                    // memoizing) while guaranteeing the same answers and
-                    // interner ids as the per-address loop.
-                    col.extend(db.lookup_batch(chunk, &mut local));
-                }
-                (local, cols)
-            });
-
-            for (local, cols) in shards {
-                refs += local.ref_count();
-                let remap = interner.absorb(&local);
-                for (column, chunk) in columns.iter_mut().zip(cols) {
-                    for rec in chunk {
-                        if rec.is_some() {
-                            hits += 1;
-                        }
-                        column.push(rec.map(|r| r.remapped(&remap)));
-                    }
-                }
+        for located in shards {
+            for ((column, memo), (db, part)) in columns
+                .iter_mut()
+                .zip(&mut memos)
+                .zip(dbs.iter().zip(located))
+            {
+                column.extend(part.into_iter().map(|idx| {
+                    let id = memo.answer(db, idx, &mut interner, &mut answers);
+                    hits += u64::from(id.is_some());
+                    id
+                }));
             }
         }
+        drop(decode_span);
 
         let lookups = (ips.len() as u64) * (n as u64);
         c_lookups.add(lookups);
         c_hits.add(hits);
         c_misses.add(lookups - hits);
         c_strings.add(interner.len() as u64);
-        c_refs.add(refs);
+        c_refs.add(interner.ref_count());
+        c_answers.add(answers.len() as u64);
         span.attr("hits", hits);
         span.attr("interned", interner.len());
+        span.attr("answers", answers.len());
 
         ResolvedView {
             databases: dbs.iter().map(|d| d.name().to_string()).collect(),
             total: ips.len(),
             interner,
+            answers,
             columns,
         }
     }
@@ -156,14 +158,27 @@ impl ResolvedView {
         &self.interner
     }
 
-    /// The full answer column of database `db`.
-    pub fn column(&self, db: usize) -> &[Option<CompactRecord>] {
+    /// The full answer-id column of database `db`.
+    pub fn column(&self, db: usize) -> &[Option<AnswerId>] {
         &self.columns[db]
+    }
+
+    /// The record behind an answer id of this view. Ids are only
+    /// meaningful in the view that issued them.
+    pub fn answer(&self, id: AnswerId) -> CompactRecord {
+        self.answers[id.get() as usize - 1]
     }
 
     /// Database `db`'s answer for the `i`-th address.
     pub fn record(&self, db: usize, i: usize) -> Option<CompactRecord> {
-        self.columns[db][i]
+        self.columns[db][i].map(|id| self.answer(id))
+    }
+
+    /// Database `db`'s answers for every address, in row order.
+    pub fn records(&self, db: usize) -> impl ExactSizeIterator<Item = Option<CompactRecord>> + '_ {
+        self.columns[db]
+            .iter()
+            .map(|id| id.map(|id| self.answer(id)))
     }
 }
 
@@ -302,6 +317,98 @@ mod tests {
                 assert_eq!(expanded, db.lookup(*ip), "db {d} ip {ip}");
             }
         }
+    }
+
+    /// Write `db` as a v2.1 image and open it.
+    fn to_image(db: &InMemoryDb) -> routergeo_db::Rgdb2Reader {
+        use routergeo_net::Prefix;
+        let entries: Vec<_> = db
+            .iter()
+            .flat_map(|(start, end, rec)| {
+                Prefix::cover_range(start, end)
+                    .into_iter()
+                    .map(move |p| (p, rec))
+            })
+            .collect();
+        routergeo_db::Rgdb2Reader::open(routergeo_db::rgdb2::write_v21(db.name(), entries)).unwrap()
+    }
+
+    /// The view's contract against the per-address loop: interner
+    /// strings in the order a sequential `lookup_compact` pass assigns
+    /// them (shard → database → row), and every answer equal to that
+    /// pass's, ids included.
+    fn check_contract<D: GeoDatabase + Sync>(dbs: &[D], ips: &[Ipv4Addr]) {
+        let mut interner = LocationInterner::new();
+        let mut expected: Vec<Vec<Option<CompactRecord>>> = vec![Vec::new(); dbs.len()];
+        for chunk in ips.chunks(LOOKUP_SHARD_SIZE) {
+            for (column, db) in expected.iter_mut().zip(dbs) {
+                column.extend(chunk.iter().map(|ip| db.lookup_compact(*ip, &mut interner)));
+            }
+        }
+        for threads in [1, 2, 8] {
+            let view = ResolvedView::build_with(dbs, ips, &Pool::new(threads));
+            assert_eq!(
+                view.interner(),
+                &interner,
+                "{threads} threads: interner order"
+            );
+            for (d, column) in expected.iter().enumerate() {
+                assert_eq!(view.column(d).len(), ips.len());
+                for (i, want) in column.iter().enumerate() {
+                    assert_eq!(
+                        view.record(d, i),
+                        *want,
+                        "{threads} threads: db {d} row {i}"
+                    );
+                }
+                assert!(view.records(d).eq(column.iter().copied()));
+            }
+        }
+    }
+
+    #[test]
+    fn view_matches_the_sequential_loop_on_both_backends() {
+        // The first shard cycles through blocks 0..7 and the later two
+        // through 0..200: later shards hit records the first shard did
+        // too, and new ones whose names must be interned after every
+        // database's first-shard names. The third database covers none
+        // of the addresses.
+        let ips: Vec<Ipv4Addr> = (0..40_000u32)
+            .map(|i| {
+                let block = if (i as usize) < LOOKUP_SHARD_SIZE {
+                    i % 7
+                } else {
+                    i % 200
+                };
+                Ipv4Addr::from(0x0A00_0000 | (block << 16) | (i & 0xFF))
+            })
+            .collect();
+        let mut elsewhere = InMemoryDbBuilder::new("elsewhere");
+        elsewhere.push_prefix(
+            "192.168.0.0/16".parse().unwrap(),
+            LocationRecord::country_level("NL".parse().unwrap(), Granularity::Aggregate),
+        );
+        let inmem = [
+            striped_db("a", 120, 1),
+            striped_db("b", 120, 3),
+            elsewhere.build().unwrap(),
+        ];
+        let images: Vec<_> = inmem.iter().map(to_image).collect();
+
+        let view = ResolvedView::build_with(&inmem, &ips, &Pool::new(2));
+        // Rows 0 and 16400 sit in different shards and in the same /16,
+        // so they share one record — and therefore one answer id.
+        let (first, later) = (0, LOOKUP_SHARD_SIZE + 16);
+        assert!(later < 2 * LOOKUP_SHARD_SIZE && ips[later] != ips[first]);
+        assert!(view.column(0)[first].is_some());
+        assert_eq!(view.column(0)[first], view.column(0)[later]);
+        assert!(
+            view.column(2).iter().all(Option::is_none),
+            "all-miss column"
+        );
+
+        check_contract(&inmem, &ips);
+        check_contract(&images, &ips);
     }
 
     #[test]

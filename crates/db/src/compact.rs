@@ -6,21 +6,24 @@
 //! owning [`LocationRecord`](crate::LocationRecord) carries its region
 //! and city as `Option<String>`, so each answer costs heap allocations.
 //! [`LocationInterner`] maps those strings to dense `u32` symbol ids
-//! exactly once, and [`CompactRecord`] carries the ids by value, so a
-//! resolved column of answers is a flat `Vec<Option<CompactRecord>>`
-//! with no per-lookup allocation.
+//! exactly once, and [`CompactRecord`] carries the ids by value, so an
+//! answer needs no per-lookup allocation.
 //!
-//! Parallel resolution shards intern into *local* tables; the merge
-//! step absorbs each local table into the global one in shard order via
-//! [`LocationInterner::absorb`], producing an [`IdRemap`] that rewrites
-//! shard-local ids to global ones. Because absorption walks local ids
-//! in order and shards merge in shard order, the global id assignment
-//! is dense and byte-identical at any thread count.
+//! A batch resolver need not even copy the record per lookup. It
+//! locates each address to a record index
+//! ([`GeoDatabase::locate_batch`](crate::GeoDatabase::locate_batch)),
+//! decodes each distinct index once
+//! ([`GeoDatabase::record_at`](crate::GeoDatabase::record_at)) into one
+//! interner, and keeps a 4-byte id per answer. Ids are assigned in
+//! first-sighting order, so a resolver that walks its inputs in a
+//! fixed order gets the same ids at any thread count.
 
 use crate::record::{Granularity, LocationRecord};
+use crate::GeoDatabase;
 use routergeo_geo::{Coordinate, CountryCode};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
+use std::num::NonZeroU32;
 
 /// FNV-1a as a [`std::hash::Hasher`]: a handful of instructions per
 /// byte, no per-hash setup cost. The resolve hot path hashes short
@@ -117,37 +120,50 @@ impl LocationInterner {
     pub fn ref_count(&self) -> u64 {
         self.refs
     }
+}
 
-    /// Record one reference that resolved through a caller-side id
-    /// cache instead of [`LocationInterner::intern`]. Keeps the
-    /// `resolve.interner_refs` metric meaning "references", not "hash
-    /// probes", when readers memoize string-offset → id mappings.
-    pub fn count_ref(&mut self) {
-        self.refs += 1;
-    }
+/// A 1-based index into a table of decoded records, as handed out by
+/// [`RecordMemo::answer`]. `Option<AnswerId>` is 4 bytes.
+pub type AnswerId = NonZeroU32;
 
-    /// Absorb every symbol of `local` into `self` (in `local` id order)
-    /// and return the remap from `local` ids to `self` ids. Used to
-    /// merge shard-local interners deterministically.
-    pub fn absorb(&mut self, local: &LocationInterner) -> IdRemap {
-        IdRemap {
-            map: local.strings.iter().map(|s| self.intern(s)).collect(),
+/// One database's `record index → AnswerId` memo: each distinct record
+/// decodes once, at its first sighting, into a caller-owned answer
+/// table that several memos (one per database) may share. Feeding
+/// indices in a fixed order assigns answer and interner ids in that
+/// order.
+#[derive(Debug, Clone)]
+pub struct RecordMemo {
+    ids: Vec<Option<AnswerId>>,
+}
+
+impl RecordMemo {
+    /// An empty memo for a database with `record_count` records. The
+    /// table is one zeroed allocation, so pages no record touches are
+    /// never faulted in.
+    pub fn new(record_count: u32) -> RecordMemo {
+        RecordMemo {
+            ids: vec![None; record_count as usize],
         }
     }
-}
 
-/// A mapping from one interner's ids to another's, produced by
-/// [`LocationInterner::absorb`].
-#[derive(Debug, Clone)]
-pub struct IdRemap {
-    map: Vec<u32>,
-}
-
-impl IdRemap {
-    /// Translate a local id. Ids the remap has never seen pass through
-    /// unchanged (they cannot arise from a well-formed absorb).
-    pub fn apply(&self, id: u32) -> u32 {
-        self.map.get(id as usize).copied().unwrap_or(id)
+    /// The answer id of record `idx` of `db`: at its first sighting the
+    /// record is decoded ([`GeoDatabase::record_at`]) and pushed onto
+    /// `answers`, and later sightings return the same id. `None` for
+    /// [`NO_RECORD`](crate::NO_RECORD) and for an index that does not
+    /// decode (which is retried, like the per-address lookup would).
+    pub fn answer<D: GeoDatabase + ?Sized>(
+        &mut self,
+        db: &D,
+        idx: u32,
+        interner: &mut LocationInterner,
+        answers: &mut Vec<CompactRecord>,
+    ) -> Option<AnswerId> {
+        let slot = self.ids.get_mut(idx as usize)?;
+        if slot.is_none() {
+            answers.push(db.record_at(idx, interner)?);
+            *slot = u32::try_from(answers.len()).ok().and_then(AnswerId::new);
+        }
+        *slot
     }
 }
 
@@ -196,15 +212,6 @@ impl CompactRecord {
                 .map(str::to_string),
             coord: self.coord,
             granularity: self.granularity,
-        }
-    }
-
-    /// Rewrite the symbol ids through a shard-merge remap.
-    pub fn remapped(self, remap: &IdRemap) -> CompactRecord {
-        CompactRecord {
-            region_id: self.region_id.map(|id| remap.apply(id)),
-            city_id: self.city_id.map(|id| remap.apply(id)),
-            ..self
         }
     }
 
@@ -263,37 +270,5 @@ mod tests {
         let ce = CompactRecord::from_record(&empty, &mut i);
         assert!(!ce.has_country() && !ce.has_city());
         assert_eq!(ce.to_record(&i), empty);
-    }
-
-    #[test]
-    fn absorb_remaps_shard_local_ids_deterministically() {
-        let mut shard_a = LocationInterner::new();
-        let a_x = shard_a.intern("X");
-        let a_y = shard_a.intern("Y");
-        let mut shard_b = LocationInterner::new();
-        let b_z = shard_b.intern("Z");
-        let b_y = shard_b.intern("Y");
-
-        let mut global = LocationInterner::new();
-        let ra = global.absorb(&shard_a);
-        let rb = global.absorb(&shard_b);
-        // Shard-order absorption: X=0, Y=1 from shard a; Z=2 new, Y
-        // rebound to 1 from shard b.
-        assert_eq!(ra.apply(a_x), 0);
-        assert_eq!(ra.apply(a_y), 1);
-        assert_eq!(rb.apply(b_z), 2);
-        assert_eq!(rb.apply(b_y), 1);
-        assert_eq!(global.len(), 3);
-
-        let rec = CompactRecord {
-            country: None,
-            region_id: Some(b_y),
-            city_id: Some(b_z),
-            coord: None,
-            granularity: Granularity::Aggregate,
-        };
-        let remapped = rec.remapped(&rb);
-        assert_eq!(remapped.region_id, Some(1));
-        assert_eq!(remapped.city_id, Some(2));
     }
 }

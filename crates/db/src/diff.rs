@@ -102,17 +102,20 @@ pub fn diff_databases<D1: GeoDatabase, D2: GeoDatabase>(
     let mut interner = LocationInterner::new();
     let a = old.lookup_batch(ips, &mut interner);
     let b = new.lookup_batch(ips, &mut interner);
-    diff_columns(old.name(), &a, &b)
+    diff_columns(old.name(), a, b)
 }
 
 /// Diff two answer columns row by row (`old[i]` against `new[i]`), both
 /// interned into one [`LocationInterner`] — e.g. two columns of one
 /// resolved view. `database` names the old snapshot in the report.
-pub fn diff_columns(
-    database: &str,
-    old: &[Option<CompactRecord>],
-    new: &[Option<CompactRecord>],
-) -> DiffReport {
+pub fn diff_columns<A, B>(database: &str, old: A, new: B) -> DiffReport
+where
+    A: IntoIterator<Item = Option<CompactRecord>>,
+    A::IntoIter: ExactSizeIterator,
+    B: IntoIterator<Item = Option<CompactRecord>>,
+    B::IntoIter: ExactSizeIterator,
+{
+    let (old, new) = (old.into_iter(), new.into_iter());
     assert_eq!(old.len(), new.len(), "diffed columns must align row by row");
     let mut report = DiffReport {
         database: database.to_string(),
@@ -126,8 +129,8 @@ pub fn diff_columns(
         move_cdf: EmpiricalCdf::from_iter_lossy(std::iter::empty()).0,
     };
     let mut moves = Vec::new();
-    for (a, b) in old.iter().zip(new) {
-        let (change, moved) = classify(*a, *b);
+    for (a, b) in old.zip(new) {
+        let (change, moved) = classify(a, b);
         if let Some(d) = moved {
             if d > 0.0 {
                 moves.push(d);

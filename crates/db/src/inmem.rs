@@ -1,11 +1,10 @@
 //! In-memory range database — the working representation every other
 //! format converts to or from.
 
-use crate::compact::{CompactRecord, FnvBuildHasher, LocationInterner};
+use crate::compact::{CompactRecord, LocationInterner};
 use crate::record::LocationRecord;
-use crate::GeoDatabase;
+use crate::{GeoDatabase, NO_RECORD};
 use routergeo_net::{Prefix, RangeMap, RangeMapBuilder, RangeOverlap};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// A named in-memory geolocation database over non-overlapping ranges.
@@ -105,43 +104,27 @@ impl GeoDatabase for InMemoryDb {
             .map(|rec| CompactRecord::from_record(rec, interner))
     }
 
-    fn lookup_batch(
-        &self,
-        ips: &[Ipv4Addr],
-        interner: &mut LocationInterner,
-    ) -> Vec<Option<CompactRecord>> {
-        // Pass 1: one sorted monotone sweep over the range entries
-        // resolves every address to its entry index.
-        let located = self.map.locate_batch(ips);
-        // Pass 2, in original order so interner id assignment matches
-        // the sequential loop bit-for-bit: compact each distinct entry
-        // once and replay the memo for repeats. Sorted inputs revisit
-        // the entry they just left, so a one-slot cache answers most
-        // repeats before the (FNV-hashed) memo map is even probed.
-        let mut memo: HashMap<usize, CompactRecord, FnvBuildHasher> = HashMap::default();
-        let mut last: Option<(usize, CompactRecord)> = None;
-        located
+    fn record_count(&self) -> u32 {
+        u32::try_from(self.map.len()).unwrap_or(u32::MAX)
+    }
+
+    fn locate_batch(&self, ips: &[Ipv4Addr]) -> Vec<u32> {
+        // One sorted monotone sweep over the range entries; the entry
+        // index is the record index.
+        self.map
+            .locate_batch(ips)
             .into_iter()
             .map(|slot| {
-                let idx = slot?;
-                if let Some((li, hit)) = last {
-                    if li == idx {
-                        return Some(hit);
-                    }
-                }
-                if let Some(hit) = memo.get(&idx) {
-                    last = Some((idx, *hit));
-                    return Some(*hit);
-                }
-                let compact = self
-                    .map
-                    .value_at(idx)
-                    .map(|rec| CompactRecord::from_record(rec, interner))?;
-                memo.insert(idx, compact);
-                last = Some((idx, compact));
-                Some(compact)
+                slot.and_then(|idx| u32::try_from(idx).ok())
+                    .unwrap_or(NO_RECORD)
             })
             .collect()
+    }
+
+    fn record_at(&self, idx: u32, interner: &mut LocationInterner) -> Option<CompactRecord> {
+        self.map
+            .value_at(usize::try_from(idx).ok()?)
+            .map(|rec| CompactRecord::from_record(rec, interner))
     }
 }
 

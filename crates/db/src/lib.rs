@@ -39,7 +39,7 @@ pub mod record;
 pub mod rgdb2;
 pub mod synth;
 
-pub use compact::{CompactRecord, IdRemap, LocationInterner};
+pub use compact::{AnswerId, CompactRecord, LocationInterner, RecordMemo};
 pub use image::FileImage;
 pub use inmem::InMemoryDb;
 pub use record::{Granularity, LocationRecord};
@@ -48,7 +48,18 @@ pub use synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
 
 use std::net::Ipv4Addr;
 
+/// The record index [`GeoDatabase::locate_batch`] reports for an address
+/// no record covers.
+pub const NO_RECORD: u32 = u32::MAX;
+
 /// A geolocation database: IP in, location record out.
+///
+/// Besides the per-address lookups, a backend exposes its answers as
+/// numbered records: [`GeoDatabase::locate_batch`] maps addresses to
+/// record indices without decoding anything, and
+/// [`GeoDatabase::record_at`] decodes one record. A caller that resolves
+/// many addresses decodes each distinct record once, however many
+/// addresses share it.
 pub trait GeoDatabase {
     /// Database display name (e.g. `MaxMind-GeoLite`).
     fn name(&self) -> &str;
@@ -71,21 +82,42 @@ pub trait GeoDatabase {
             .map(|rec| CompactRecord::from_record(&rec, interner))
     }
 
+    /// Number of record indices: every index [`GeoDatabase::locate_batch`]
+    /// returns, [`NO_RECORD`] aside, is below it.
+    fn record_count(&self) -> u32;
+
+    /// Locate a batch of addresses: element `i` is the index of the
+    /// record answering `ips[i]`, or [`NO_RECORD`]. Nothing is decoded
+    /// and nothing is interned, so shards of one address list may
+    /// locate concurrently against a shared `&self`.
+    fn locate_batch(&self, ips: &[Ipv4Addr]) -> Vec<u32>;
+
+    /// Decode record `idx` on the compact path, interning its
+    /// region/city into `interner`. `record_at(locate(ip))` is exactly
+    /// [`GeoDatabase::lookup_compact`]`(ip)`; `None` for an index that
+    /// names no record, or one whose record fails to decode.
+    fn record_at(&self, idx: u32, interner: &mut LocationInterner) -> Option<CompactRecord>;
+
     /// Look up a batch of addresses on the compact path.
     ///
     /// The answer vector is element-for-element identical to calling
     /// [`GeoDatabase::lookup_compact`] once per address in order —
-    /// including interner id assignment — so callers may batch freely
-    /// without changing results. Backends override this to exploit
-    /// access locality (sorted range/trie walks, per-answer memoizing);
-    /// the default is the sequential loop.
+    /// including interner id assignment — because each distinct record
+    /// decodes at its first sighting in input order, and later
+    /// sightings replay the decoded answer.
     fn lookup_batch(
         &self,
         ips: &[Ipv4Addr],
         interner: &mut LocationInterner,
     ) -> Vec<Option<CompactRecord>> {
-        ips.iter()
-            .map(|ip| self.lookup_compact(*ip, interner))
+        let mut memo = RecordMemo::new(self.record_count());
+        let mut answers = Vec::new();
+        self.locate_batch(ips)
+            .into_iter()
+            .map(|idx| {
+                let id = memo.answer(self, idx, interner, &mut answers)?;
+                answers.get(id.get() as usize - 1).copied()
+            })
             .collect()
     }
 }
@@ -107,12 +139,16 @@ impl<T: GeoDatabase + ?Sized> GeoDatabase for &T {
         (**self).lookup_compact(ip, interner)
     }
 
-    fn lookup_batch(
-        &self,
-        ips: &[Ipv4Addr],
-        interner: &mut LocationInterner,
-    ) -> Vec<Option<CompactRecord>> {
-        (**self).lookup_batch(ips, interner)
+    fn record_count(&self) -> u32 {
+        (**self).record_count()
+    }
+
+    fn locate_batch(&self, ips: &[Ipv4Addr]) -> Vec<u32> {
+        (**self).locate_batch(ips)
+    }
+
+    fn record_at(&self, idx: u32, interner: &mut LocationInterner) -> Option<CompactRecord> {
+        (**self).record_at(idx, interner)
     }
 }
 
@@ -133,11 +169,15 @@ impl<T: GeoDatabase + ?Sized> GeoDatabase for Box<T> {
         (**self).lookup_compact(ip, interner)
     }
 
-    fn lookup_batch(
-        &self,
-        ips: &[Ipv4Addr],
-        interner: &mut LocationInterner,
-    ) -> Vec<Option<CompactRecord>> {
-        (**self).lookup_batch(ips, interner)
+    fn record_count(&self) -> u32 {
+        (**self).record_count()
+    }
+
+    fn locate_batch(&self, ips: &[Ipv4Addr]) -> Vec<u32> {
+        (**self).locate_batch(ips)
+    }
+
+    fn record_at(&self, idx: u32, interner: &mut LocationInterner) -> Option<CompactRecord> {
+        (**self).record_at(idx, interner)
     }
 }

@@ -62,7 +62,7 @@
 
 use crate::compact::{CompactRecord, LocationInterner};
 use crate::record::{Granularity, LocationRecord};
-use crate::GeoDatabase;
+use crate::{GeoDatabase, NO_RECORD};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use routergeo_geo::{Coordinate, CountryCode};
 use routergeo_net::{Prefix, PrefixTrie};
@@ -73,7 +73,10 @@ use std::net::Ipv4Addr;
 const MAGIC: &[u8; 4] = b"RGDB";
 /// On-disk header version; every other version is rejected at open.
 const VERSION: u16 = 3;
-const NONE: u32 = u32::MAX;
+/// The format's "none" link and record marker. It equals [`NO_RECORD`],
+/// so record indices read from the image pass straight to
+/// [`GeoDatabase::locate_batch`] callers.
+const NONE: u32 = NO_RECORD;
 pub(crate) const HEADER_LEN: usize = 28;
 /// Fixed byte width of one record in the record array.
 const RECORD_WIDTH: usize = 20;
@@ -962,46 +965,6 @@ impl Rgdb2Reader {
         Ok(self.deepest_match(ip)?.map(|(_, len)| len))
     }
 
-    /// Decode the record at `idx` trusting the open-time validation
-    /// sweep: canonicality violations cannot occur on an image that
-    /// opened, so this path drops their checks — staying memory-safe
-    /// through checked slicing — and returns `None` only on latent
-    /// corruption, which the callers degrade to a miss exactly like
-    /// the validating path does.
-    #[inline]
-    fn raw_record_lean(&self, idx: u32) -> Option<RawRecord> {
-        if idx >= self.record_count {
-            return None;
-        }
-        let at = self.records_start + ix(idx) * RECORD_WIDTH;
-        let mut b = self.image.get(at..at + RECORD_WIDTH)?;
-        let flags = b.get_u8();
-        let gran = Granularity::from_id(b.get_u8())?;
-        let ca = b.get_u8();
-        let cb = b.get_u8();
-        let country = if flags & 1 != 0 {
-            Some(CountryCode::new(ca, cb)?)
-        } else {
-            None
-        };
-        let region_off = b.get_u32_le();
-        let city_off = b.get_u32_le();
-        let lat = b.get_i32_le();
-        let lon = b.get_i32_le();
-        let coord = if flags & 8 != 0 {
-            Some(Coordinate::new(f64::from(lat) / 1e6, f64::from(lon) / 1e6).ok()?)
-        } else {
-            None
-        };
-        Some(RawRecord {
-            granularity: gran,
-            country,
-            region_off: (flags & 2 != 0).then_some(region_off),
-            city_off: (flags & 4 != 0).then_some(city_off),
-            coord,
-        })
-    }
-
     /// Build the compact answer for record `idx`, borrowing strings
     /// from the image into the interner.
     fn record_compact(
@@ -1057,7 +1020,7 @@ impl Rgdb2Reader {
         }
     }
 
-    /// Batched compact lookup — the hot path. Addresses are sorted and
+    /// Batched locate — the hot path. Addresses are sorted and
     /// duplicates collapsed; every unique address's walk is seeded from
     /// the root table in one pass, and the live walks then advance
     /// **level by level across the whole batch** (a breadth-first
@@ -1065,14 +1028,9 @@ impl Rgdb2Reader {
     /// are placed in level order, each sweep over the sorted frontier
     /// reads a monotonically increasing node range — near-sequential
     /// memory traffic instead of one dependent pointer chase per
-    /// address. Answers are interned in the *original* order with one
-    /// compact conversion per distinct record, so output and interner
-    /// ids are identical to the per-address loop.
-    fn batch_compact(
-        &self,
-        ips: &[Ipv4Addr],
-        interner: &mut LocationInterner,
-    ) -> Vec<Option<CompactRecord>> {
+    /// address. The answer is each address's record index in input
+    /// order ([`NO_RECORD`] for a miss); nothing is decoded.
+    fn batch_locate(&self, ips: &[Ipv4Addr]) -> Vec<u32> {
         // Sort keys packed as `addr << 32 | pos`: one u64 compare-and-
         // swap instead of a 16-byte tuple, and `pos` rides along for the
         // scatter. Shard sizes keep `pos` far below 2^32.
@@ -1167,7 +1125,7 @@ impl Rgdb2Reader {
             depth += 1;
         }
         // Scatter the per-unique-address answers back to input order.
-        let mut located: Vec<Option<u32>> = vec![None; ips.len()];
+        let mut located: Vec<u32> = vec![NO_RECORD; ips.len()];
         let mut cursor = 0usize;
         let mut prev: Option<u32> = None;
         for packed in order {
@@ -1177,70 +1135,11 @@ impl Rgdb2Reader {
                 cursor += 1;
             }
             prev = Some(addr);
-            let rec = best.get(cursor).copied().unwrap_or(NONE);
             if let Some(slot) = located.get_mut(pos) {
-                *slot = (rec != NONE).then_some(rec);
+                *slot = best.get(cursor).copied().unwrap_or(NO_RECORD);
             }
         }
-        // Pass 2 (original order): compact each distinct record once so
-        // interner id assignment matches the sequential loop. The memo
-        // is a dense array over record indices — one indexed load per
-        // address, no hashing — with the decoded records packed into a
-        // side vector so the dense slots stay 4 bytes each.
-        let mut memo_slot: Vec<u32> = vec![NONE; ix(self.record_count)];
-        let mut memo_val: Vec<CompactRecord> = Vec::new();
-        // Dense string-offset → interner-id cache: the writer dedups
-        // the string table, so distinct offsets are few and every
-        // repeat skips the interner's hash probe. First-seen intern
-        // order is untouched — the cache only short-circuits repeats.
-        let mut sym: Vec<u32> = vec![NONE; self.strings_len];
-        let mut intern_off = |off: u32, interner: &mut LocationInterner| -> Option<u32> {
-            match sym.get(ix(off)).copied() {
-                Some(s) if s != NONE => {
-                    interner.count_ref();
-                    Some(s)
-                }
-                _ => {
-                    let id = interner.intern(self.str_at(off).ok()?);
-                    if let Some(s) = sym.get_mut(ix(off)) {
-                        *s = id;
-                    }
-                    Some(id)
-                }
-            }
-        };
         located
-            .into_iter()
-            .map(|slot| {
-                let idx = slot?;
-                match memo_slot.get(ix(idx)).copied() {
-                    Some(s) if s != NONE => memo_val.get(ix(s)).copied(),
-                    _ => {
-                        let raw = self.raw_record_lean(idx)?;
-                        let region_id = match raw.region_off {
-                            Some(off) => Some(intern_off(off, interner)?),
-                            None => None,
-                        };
-                        let city_id = match raw.city_off {
-                            Some(off) => Some(intern_off(off, interner)?),
-                            None => None,
-                        };
-                        let compact = CompactRecord {
-                            country: raw.country,
-                            region_id,
-                            city_id,
-                            coord: raw.coord,
-                            granularity: raw.granularity,
-                        };
-                        if let Some(s) = memo_slot.get_mut(ix(idx)) {
-                            *s = u32::try_from(memo_val.len()).expect("distinct records fit a u32");
-                            memo_val.push(compact);
-                        }
-                        Some(compact)
-                    }
-                }
-            })
-            .collect()
     }
 }
 
@@ -1263,12 +1162,16 @@ impl GeoDatabase for Rgdb2Reader {
         self.record_compact(idx, interner).ok()
     }
 
-    fn lookup_batch(
-        &self,
-        ips: &[Ipv4Addr],
-        interner: &mut LocationInterner,
-    ) -> Vec<Option<CompactRecord>> {
-        self.batch_compact(ips, interner)
+    fn record_count(&self) -> u32 {
+        self.record_count
+    }
+
+    fn locate_batch(&self, ips: &[Ipv4Addr]) -> Vec<u32> {
+        self.batch_locate(ips)
+    }
+
+    fn record_at(&self, idx: u32, interner: &mut LocationInterner) -> Option<CompactRecord> {
+        self.record_compact(idx, interner).ok()
     }
 }
 

@@ -249,44 +249,6 @@ impl Pool {
             .collect()
     }
 
-    /// Run `f` inline over every shard of the plan, in order, with the
-    /// same observability accounting as [`run_shards`](Pool::run_shards)
-    /// — identical `pool.shards_*` counter totals and `pool.shard`
-    /// spans, so metric snapshots stay byte-identical across thread
-    /// counts even when a caller takes a serial fast path.
-    ///
-    /// Unlike `run_shards` the closure is `FnMut` and may borrow caller
-    /// state mutably: this is the escape hatch for single-threaded
-    /// folds that accumulate every shard into one structure (no
-    /// per-shard locals, no merge). The pool's thread count is
-    /// deliberately ignored — the caller has already decided to run
-    /// serially.
-    pub fn for_each_shard<T, F>(&self, master_seed: u64, items: &[T], shard_size: usize, mut f: F)
-    where
-        F: FnMut(&Shard, &[T]),
-    {
-        let shards = plan_shards(master_seed, items.len(), shard_size);
-        routergeo_obs::counter("pool.shards_planned").add(shards.len() as u64);
-        let shards_run = routergeo_obs::counter("pool.shards_run");
-        let parent = routergeo_obs::current_span();
-        let clock = routergeo_obs::stopwatch();
-        let observe = routergeo_obs::enabled();
-        for shard in &shards {
-            shards_run.incr();
-            let _span = if observe {
-                let queue_us = clock.elapsed_us();
-                let mut s = routergeo_obs::span_under(parent, "pool.shard", Vec::new());
-                s.attr("shard", shard.index);
-                s.attr("items", shard.len());
-                s.attr("queue_us", queue_us);
-                s
-            } else {
-                routergeo_obs::SpanGuard::disabled()
-            };
-            f(shard, &items[shard.start..shard.end]);
-        }
-    }
-
     /// [`run_shards`](Pool::run_shards) over a slice: each call of `f`
     /// receives the shard descriptor plus the sub-slice it covers.
     pub fn map_shards<T, R, F>(

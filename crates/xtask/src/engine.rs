@@ -187,6 +187,8 @@ pub fn rules_for(rel: &str) -> Option<RuleSet> {
         // Placeholder macros (`todo!` / `unimplemented!`) are likewise a
         // library-crate concern — a harness may scaffold.
         rules.rg013 = LIB_CRATES.contains(&krate);
+        // A lost reservation is a performance bug anywhere.
+        rules.rg014 = true;
     } else if rel.starts_with("src/") {
         // Umbrella library + CLI binaries: panics are still forbidden in
         // non-test code, but startup `expect`s with reasons are allowed.
@@ -196,6 +198,7 @@ pub fn rules_for(rel: &str) -> Option<RuleSet> {
         rules.rg007 = true;
         rules.rg008 = !is_binary_entry(rel);
         rules.rg011 = true;
+        rules.rg014 = true;
     } else {
         return None;
     }
@@ -563,6 +566,10 @@ mod tests {
         );
         let bin = rules_for("src/bin/routergeo.rs").expect("in scope");
         assert!(bin.rg011 && !bin.rg010 && !bin.rg012 && !bin.rg013);
+        assert!(
+            bin.rg014 && bench.rg014 && geo.rg014,
+            "RG014 applies everywhere"
+        );
 
         assert!(rules_for("results/leftover.rs").is_none());
     }

@@ -10,7 +10,7 @@ use xtask::{bench, deps, engine, json};
 const USAGE: &str = "usage: cargo xtask <command>\n\n\
 commands:\n  \
   lint [--waivers] [--json]\n  \
-                        run RG001-RG013 over workspace sources; non-zero exit on violations\n  \
+                        run RG001-RG014 over workspace sources; non-zero exit on violations\n  \
                         (--json prints machine-readable findings on stdout)\n  \
   unsafe-audit [--json] inventory every `unsafe` site workspace-wide; non-zero exit unless\n  \
                         each carries a `// SAFETY:` comment\n  \
@@ -37,9 +37,9 @@ commands:\n  \
                         write the report to target/ci-artifacts/resolve_ci.json;\n  \
                         non-zero exit when the resolve stage exceeds the budget\n  \
                         (default 20000 ms), when a stage regresses beyond 2x against\n  \
-                        BENCH_resolve.json, or when lookup_ns_per_addr regresses\n  \
-                        beyond 2x (both median-normalised); --bless refreshes the\n  \
-                        baseline\n";
+                        BENCH_resolve.json, when lookup_ns_per_addr regresses\n  \
+                        beyond 2x (both median-normalised), or when peak_rss_mib\n  \
+                        exceeds 2x the baseline's; --bless refreshes the baseline\n";
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -579,9 +579,10 @@ fn run_serve_check(root: &PathBuf, budget_ms: u64, vendor_images: bool) -> ExitC
 /// the resolve stage alone, plus a regression gate against the blessed
 /// `BENCH_resolve.json`: per-stage wall clock AND per-lookup
 /// `lookup_ns_per_addr`, both smoothed and median-normalised exactly
-/// like bench-check so a uniformly slower machine passes. Synthesis and
+/// like bench-check so a uniformly slower machine passes, and the
+/// smoke process's own `peak_rss_mib` as a raw ratio. Synthesis and
 /// probes are a pure function of the pinned seed, so everything in the
-/// artifact except the wall-clock fields is byte-stable.
+/// artifact except the wall-clock and memory fields is byte-stable.
 fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
     let art_dir = root.join("target").join("ci-artifacts");
     if let Err(err) = std::fs::create_dir_all(&art_dir) {
@@ -659,14 +660,18 @@ fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
         };
     }
 
-    let read = |p: &std::path::Path| -> Result<(bench::Report, f64), String> {
+    let read = |p: &std::path::Path| -> Result<(bench::Report, f64, f64), String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
         let report = bench::parse_report(&text).map_err(|e| format!("{}: {e}", p.display()))?;
-        let per_lookup = lookup_ns_per_addr(&text)
-            .ok_or_else(|| format!("{}: no lookup_ns_per_addr field", p.display()))?;
-        Ok((report, per_lookup))
+        let field = |key: &str| {
+            json_number(&text, key).ok_or_else(|| format!("{}: no {key} field", p.display()))
+        };
+        Ok((report, field("lookup_ns_per_addr")?, field("peak_rss_mib")?))
     };
-    let ((base, base_ns), (fresh, fresh_ns)) = match (read(&baseline_path), read(&artifact)) {
+    let ((base, base_ns, base_rss), (fresh, fresh_ns, fresh_rss)) = match (
+        read(&baseline_path),
+        read(&artifact),
+    ) {
         (Ok(b), Ok(f)) => (b, f),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!(
@@ -726,8 +731,29 @@ fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
     if lookup_failed {
         failed += 1;
     }
+
+    // Peak-memory gate: resident set does not scale with machine speed,
+    // so the raw ratio is gated.
+    let rss_ratio = if base_rss > 0.0 {
+        fresh_rss / base_rss
+    } else {
+        1.0
+    };
+    let rss_failed = !rss_ratio.is_finite() || rss_ratio > bench::THRESHOLD;
+    println!(
+        "{:<14} {:>7.1}MiB {:>7.1}MiB {:>7.2}x {:>8}  {}",
+        "peak-rss",
+        base_rss,
+        fresh_rss,
+        rss_ratio,
+        "",
+        if rss_failed { "FAIL" } else { "ok" }
+    );
+    if rss_failed {
+        failed += 1;
+    }
     eprintln!(
-        "xtask resolve-check: {} stage(s) + per-lookup gate, {} regression(s) beyond {:.1}x",
+        "xtask resolve-check: {} stage(s) + per-lookup + peak-rss gates, {} regression(s) beyond {:.1}x",
         cmp.len(),
         failed,
         bench::THRESHOLD
@@ -739,10 +765,10 @@ fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
     }
 }
 
-/// Pull `lookup_ns_per_addr` out of a resolve_ci.json text.
-fn lookup_ns_per_addr(text: &str) -> Option<f64> {
-    let pat = "\"lookup_ns_per_addr\":";
-    let rest = &text[text.find(pat)? + pat.len()..];
+/// Pull the number at top-level `key` out of a resolve_ci.json text.
+fn json_number(text: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\":");
+    let rest = &text[text.find(&pat)? + pat.len()..];
     let rest = rest.trim_start();
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))

@@ -1,4 +1,4 @@
-//! The lint rules (RG001–RG012) evaluated over a lexed token stream.
+//! The lint rules (RG001–RG014) evaluated over a lexed token stream.
 //!
 //! Each rule is a pure function of the token stream plus precomputed
 //! context: the brace-matched scope tree ([`crate::scope`]), the
@@ -61,6 +61,10 @@ pub struct RuleSet {
     /// (`panic!` / `unreachable!`, enforced everywhere) this denies the
     /// full abort-macro trio on library code.
     pub rg013: bool,
+    /// RG014: no `vec![<T>::with_capacity(..); n]` — the macro clones
+    /// its element, and a clone of an empty `Vec` drops the
+    /// reservation, so only the last of the `n` elements keeps it.
+    pub rg014: bool,
 }
 
 impl RuleSet {
@@ -80,6 +84,7 @@ impl RuleSet {
             rg011: true,
             rg012: true,
             rg013: true,
+            rg014: true,
         }
     }
 
@@ -92,7 +97,7 @@ impl RuleSet {
 /// A single finding, before waiver application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`RG001` … `RG013`, or `XW00x` for waiver faults).
+    /// Rule identifier (`RG001` … `RG014`, or `XW00x` for waiver faults).
     pub rule: &'static str,
     /// 1-based line.
     pub line: u32,
@@ -189,6 +194,9 @@ pub fn run_rules(lexed: &Lexed, ctx: &Context, rules: &RuleSet) -> Vec<Finding> 
         }
         if rules.rg013 {
             check_rg013(toks, i, &mut findings);
+        }
+        if rules.rg014 {
+            check_rg014(toks, i, &mut findings);
         }
     }
     // Scope/fact-driven rules run once per file over the extracted
@@ -298,6 +306,54 @@ fn check_rg013(toks: &[Tok], i: usize, out: &mut Vec<Finding>) {
             t.text
         ),
     });
+}
+
+/// RG014: `vec![<T>::with_capacity(..); n]`. The repeat form of `vec!`
+/// clones its element `n - 1` times, and `Clone` for a collection
+/// copies its contents, not its spare capacity: every element but the
+/// last starts empty and unreserved. Build the elements one by one
+/// instead (`(0..n).map(|_| T::with_capacity(..)).collect()`).
+fn check_rg014(toks: &[Tok], i: usize, out: &mut Vec<Finding>) {
+    let t = &toks[i];
+    if t.kind != TokKind::Ident
+        || t.text != "vec"
+        || !tok_is(toks, i + 1, TokKind::Punct, "!")
+        || !tok_is(toks, i + 2, TokKind::Punct, "[")
+    {
+        return;
+    }
+    // Walk the macro body; only a `;` at its own nesting level splits
+    // element from count.
+    let mut depth = 0usize;
+    let mut reserves = false;
+    for j in i + 3..toks.len() {
+        let tok = &toks[j];
+        if tok.kind == TokKind::Punct {
+            match tok.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" if depth == 0 => return,
+                ")" | "]" | "}" => depth -= 1,
+                ";" if depth == 0 => break,
+                _ => {}
+            }
+        } else if tok.kind == TokKind::Ident
+            && tok.text == "with_capacity"
+            && tok_is(toks, j - 1, TokKind::Punct, "::")
+        {
+            reserves = true;
+        }
+    }
+    if reserves {
+        out.push(Finding {
+            rule: "RG014",
+            line: t.line,
+            col: t.col,
+            message: "`vec![…::with_capacity(..); n]` — the clones drop the reservation, so \
+                      only the last element keeps it; build each element with \
+                      `(0..n).map(|_| …::with_capacity(..)).collect()`"
+                .into(),
+        });
+    }
 }
 
 /// RG003: numeric `as` casts on lookup-path files. Token-level analysis

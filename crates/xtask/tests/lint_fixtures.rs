@@ -318,6 +318,31 @@ fn rg013_fixture_flags_placeholders_and_honours_waivers() {
 }
 
 #[test]
+fn rg014_fixture_flags_repeated_reservations() {
+    let out = lint_source("bad_rg014.rs", &fixture("bad_rg014.rs"), &RuleSet::all());
+    let got: Vec<(&str, u32, u32)> = out
+        .violations
+        .iter()
+        .map(|v| (v.rule.as_str(), v.line, v.col))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            ("RG014", 5, 5),  // the repeat form over a reserved element
+            ("RG014", 9, 5),  // the outer repeat clones the reserved inner Vecs too
+            ("RG014", 9, 10), // the inner repeat
+        ],
+        "full diagnostics: {:#?}",
+        out.violations
+    );
+    // One-by-one construction, the list form, a reservation inside the
+    // count and #[cfg(test)] code pass; the waived site is audited.
+    assert_eq!(out.waivers.len(), 1);
+    assert_eq!(out.waivers[0].rules, vec!["RG014".to_string()]);
+    assert_eq!(out.waivers[0].suppressed, 1);
+}
+
+#[test]
 fn unsafe_audit_fixture_reports_every_site_and_flags_undocumented_ones() {
     let sites = engine::audit_source("bad_unsafe.rs", &fixture("bad_unsafe.rs"));
     let got: Vec<(u32, &str, Option<&str>, bool, bool)> = sites
